@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -46,50 +45,20 @@ import (
 )
 
 func main() {
+	spec := sweep.Spec{Seeds: "1"}
 	var (
 		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		seedSpec    = flag.String("seeds", "1", "replicate seeds: comma list and/or ranges, e.g. 1-16 or 1,5,9-12")
-		scaleSpec   = flag.String("scales", "", "comma-separated Scale ladder (empty = -scale only)")
 		scale       = flag.Int("scale", 2000, "base population divisor")
-		name        = flag.String("name", "", "experiment-name prefix for manifest cells")
-		endSpec     = flag.String("end", "", "truncate the window at this date (YYYY-MM-DD; empty = full window)")
-		detectSpec  = flag.String("detect", "off", "streaming detector knob: off, on, or both")
-		noremSpec   = flag.String("noremediation", "off", "counterfactual no-remediation knob: off, on, or both")
-		spoofSpec   = flag.String("spoof", "", "comma-separated BCP38 spoofer fractions (e.g. 0.1,0.25,0.5)")
-		hazardSpec  = flag.String("hazard", "", "comma-separated remediation-hazard multipliers (e.g. 0.5,1,2)")
-		vectorSpec  = flag.String("vectors", "", "comma-separated extra reflector vectors to arm (dns-any,ssdp,chargen)")
-		pulseSpec   = flag.String("pulse", "", "comma-separated pulse-wave campaign shares in [0,1] (e.g. 0,0.3)")
-		carpetSpec  = flag.String("carpet", "", "comma-separated carpet-bombing campaign shares in [0,1]")
-		multiSpec   = flag.String("multi", "", "comma-separated multi-vector campaign shares in [0,1]")
-		lossSpec    = flag.String("loss", "", "comma-separated fabric packet-loss rates in [0,1) (fault grid)")
-		dupSpec     = flag.String("dup", "", "comma-separated fabric duplication rates in [0,1)")
-		reorderSpec = flag.String("reorder", "", "comma-separated fabric reordering rates in [0,1)")
-		flapSpec    = flag.String("flap", "", "comma-separated link-flap dark fractions in [0,1)")
-		sampleSpec  = flag.String("sample", "", "comma-separated NetFlow 1-in-N sampling strides (e.g. 1,16,64)")
-		outageSpec  = flag.String("outage", "", "comma-separated NetFlow collector dark fractions in [0,1)")
-		blackSpec   = flag.String("blackout", "", "comma-separated honeypot sensor blackout fractions in [0,1)")
-		tsClients   = flag.Int("timesync", 0, "disciplined NTP client count (0 keeps the timesync plane off)")
-		taSpec      = flag.String("timeattack", "", "comma-separated time-integrity attack shares in [0,1] (requires -timesync)")
 		csv         = flag.Bool("csv", false, "emit the per-job table as CSV instead of the JSON manifest")
 		out         = flag.String("out", "-", "manifest destination (- = stdout)")
 		quiet       = flag.Bool("q", false, "suppress per-job progress lines")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and /healthz on this address during the sweep (e.g. :9091)")
 		showVersion = buildinfo.Flag()
 	)
+	specFlags(flag.CommandLine, &spec)
 	flag.Parse()
 	buildinfo.Handle("ntpsweep", *showVersion)
 
-	spec, err := buildSpec(specFlags{
-		name: *name, seeds: *seedSpec, scales: *scaleSpec, end: *endSpec,
-		detect: *detectSpec, norem: *noremSpec, spoof: *spoofSpec, hazard: *hazardSpec,
-		vectors: *vectorSpec, pulse: *pulseSpec, carpet: *carpetSpec, multi: *multiSpec,
-		loss: *lossSpec, dup: *dupSpec, reorder: *reorderSpec, flap: *flapSpec,
-		sample: *sampleSpec, outage: *outageSpec, blackout: *blackSpec,
-		timesync: *tsClients, timeattack: *taSpec,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
 	base := ntpddos.DefaultConfig()
 	base.Scale = *scale
 	grid, err := spec.Grid(base)
@@ -160,82 +129,18 @@ func main() {
 	}
 }
 
+// specFlags registers the flags that fill the sweep spec on fs.
+func specFlags(fs *flag.FlagSet, spec *sweep.Spec) {
+	fs.StringVar(&spec.Seeds, "seeds", spec.Seeds, "replicate seeds: comma list and/or ranges, e.g. 1-16 or 1,5,9-12")
+	fs.Var(sweep.IntsFlag(&spec.Scales), "scales", "comma-separated Scale ladder (empty = -scale only)")
+	fs.StringVar(&spec.Name, "name", "", "experiment-name prefix for manifest cells")
+	fs.StringVar(&spec.End, "end", "", "truncate the window at this date (YYYY-MM-DD; empty = full window)")
+	spec.Flags(fs, false)
+}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ntpsweep: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-// specFlags carries the raw flag strings the sweep spec compiles from.
-type specFlags struct {
-	name, seeds, scales, end, detect, norem string
-	spoof, hazard, pulse, carpet, multi     string
-	vectors                                 string
-	loss, dup, reorder, flap                string
-	sample, outage, blackout                string
-	timesync                                int
-	timeattack                              string
-}
-
-// buildSpec assembles the declarative sweep spec from the flag strings; the
-// same spec, as JSON, is what cmd/ntpserved accepts over HTTP.
-func buildSpec(f specFlags) (sweep.Spec, error) {
-	s := sweep.Spec{
-		Name:          f.name,
-		Seeds:         f.seeds,
-		End:           f.end,
-		Detect:        f.detect,
-		NoRemediation: f.norem,
-	}
-	if f.scales != "" {
-		scales, err := parseInts(f.scales)
-		if err != nil {
-			return s, fmt.Errorf("bad -scales: %w", err)
-		}
-		s.Scales = scales
-	}
-	if f.vectors != "" {
-		for _, part := range strings.Split(f.vectors, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				s.Vectors = append(s.Vectors, part)
-			}
-		}
-	}
-	for _, fl := range []struct {
-		flag string
-		spec string
-		dst  *[]float64
-	}{
-		{"-spoof", f.spoof, &s.Spoof},
-		{"-hazard", f.hazard, &s.Hazard},
-		{"-pulse", f.pulse, &s.Pulse},
-		{"-carpet", f.carpet, &s.Carpet},
-		{"-multi", f.multi, &s.Multi},
-		{"-loss", f.loss, &s.Loss},
-		{"-dup", f.dup, &s.Dup},
-		{"-reorder", f.reorder, &s.Reorder},
-		{"-flap", f.flap, &s.Flap},
-		{"-outage", f.outage, &s.Outage},
-		{"-blackout", f.blackout, &s.Blackout},
-		{"-timeattack", f.timeattack, &s.TimeAttack},
-	} {
-		if fl.spec == "" {
-			continue
-		}
-		vals, err := parseFloats(fl.spec)
-		if err != nil {
-			return s, fmt.Errorf("bad %s: %w", fl.flag, err)
-		}
-		*fl.dst = vals
-	}
-	if f.sample != "" {
-		strides, err := parseInts(f.sample)
-		if err != nil {
-			return s, fmt.Errorf("bad -sample: %w", err)
-		}
-		s.Sample = strides
-	}
-	s.TimeSync = f.timesync
-	return s, nil
 }
 
 func gridShape(g sweep.Grid) string {
@@ -247,42 +152,4 @@ func gridShape(g sweep.Grid) string {
 		parts = append(parts, fmt.Sprintf("%s×%d", k.Name, len(k.Values)))
 	}
 	return strings.Join(parts, ", ")
-}
-
-func parseInts(spec string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list %q", spec)
-	}
-	return out, nil
-}
-
-func parseFloats(spec string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list %q", spec)
-	}
-	return out, nil
 }

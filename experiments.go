@@ -728,3 +728,20 @@ func (s *Simulation) HoneypotConvergence() *Table {
 		honeypot.DefaultInclusionProb)
 	return t
 }
+
+// HoneypotEvents lists each attack event the honeypot fleet detected. It
+// is outside All(): a drill-down, not one of the paper's tables.
+func (s *Simulation) HoneypotEvents() *Table {
+	t := &Table{ID: "hpevents", Title: "Honeypot fleet: detected attack events",
+		Headers: []string{"first", "victim", "port", "minutes", "packets", "sensors", "bursts"}}
+	hp := s.res.Honeypot
+	if hp == nil {
+		t.AddNote("honeypot fleet disabled (Config.HoneypotSensors = 0)")
+		return t
+	}
+	for _, e := range hp.Events {
+		t.AddRowf(e.First.Format("2006-01-02 15:04"), e.Victim, e.Port,
+			e.Duration().Minutes(), e.Packets, len(e.Sensors), e.Bursts)
+	}
+	return t
+}

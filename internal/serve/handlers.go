@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"ntpddos/internal/metrics"
+	"ntpddos/internal/sweep"
 )
 
 // admissionError is a refused submission: HTTP status, a machine-readable
@@ -130,16 +132,19 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n, err := spec.NumJobs()
+	if err == nil && n > d.cfg.MaxJobsPerSweep {
+		err = fmt.Errorf("%w: spec expands to %d jobs", sweep.ErrTooLarge, n)
+	}
+	if errors.Is(err, sweep.ErrTooLarge) {
+		d.met.observeRejection("toolarge")
+		writeError(w, http.StatusBadRequest, "toolarge",
+			fmt.Sprintf("%v, cap is %d", err, d.cfg.MaxJobsPerSweep), 0)
+		return
+	}
 	if err != nil {
 		d.met.observeRejection("invalid")
 		writeError(w, http.StatusBadRequest, "invalid",
 			fmt.Sprintf("bad job spec: %v", err), 0)
-		return
-	}
-	if n > d.cfg.MaxJobsPerSweep {
-		d.met.observeRejection("toolarge")
-		writeError(w, http.StatusBadRequest, "toolarge",
-			fmt.Sprintf("spec expands to %d jobs, cap is %d", n, d.cfg.MaxJobsPerSweep), 0)
 		return
 	}
 	jobs, err := spec.Jobs(d.cfg.Base)

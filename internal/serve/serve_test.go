@@ -597,6 +597,29 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOverflowingSpec is the admission regression for a grid
+// whose job count overflows int: eleven float knobs of 64 values each span
+// 2^66 jobs. The count must come back as toolarge, not wrap under the cap.
+func TestSubmitRejectsOverflowingSpec(t *testing.T) {
+	e := newEnv(t, Config{MaxJobsPerSweep: 4})
+	vals := make([]string, 64)
+	for i := range vals {
+		vals[i] = strconv.FormatFloat(float64(i)/128, 'g', -1, 64)
+	}
+	list := "[" + strings.Join(vals, ",") + "]"
+	var fields []string
+	for _, key := range strings.Fields("spoof hazard pulse carpet multi loss dup reorder flap outage blackout") {
+		fields = append(fields, fmt.Sprintf("%q:%s", key, list))
+	}
+	resp, body := e.submit(t, `{"seeds":"1",`+strings.Join(fields, ",")+`}`)
+	var eb struct {
+		Reason string `json:"reason"`
+	}
+	if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != 400 || eb.Reason != "toolarge" {
+		t.Fatalf("status %d, reason %q (err %v), want 400 toolarge: %s", resp.StatusCode, eb.Reason, err, body)
+	}
+}
+
 func TestNotFoundAndNotReady(t *testing.T) {
 	g := newGateRunner()
 	e := newEnv(t, Config{Runner: g.run, Concurrency: 1})

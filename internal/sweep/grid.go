@@ -38,8 +38,27 @@ type Grid struct {
 	Knobs []Knob
 }
 
+// size returns how many jobs Jobs expands to. It multiplies the dimensions
+// with saturation, failing with ErrTooLarge past MaxJobs, so a grid's size
+// is known before anything is allocated.
+func (g Grid) size() (int, error) {
+	n := max(len(g.Seeds), 1)
+	dims := []int{max(len(g.Scales), 1)}
+	for _, k := range g.Knobs {
+		dims = append(dims, len(k.Values))
+	}
+	for _, d := range dims {
+		if d > 1 && n > MaxJobs/d {
+			return 0, fmt.Errorf("%w: the grid expands to more than %d", ErrTooLarge, MaxJobs)
+		}
+		n *= d
+	}
+	return n, nil
+}
+
 // Jobs expands the grid in deterministic order: scales outermost, then knob
-// combinations (first knob varying slowest), then seeds innermost.
+// combinations (first knob varying slowest), then seeds innermost. It
+// panics on a grid past MaxJobs; Spec.Grid never returns one.
 func (g Grid) Jobs() []Job {
 	seeds := g.Seeds
 	if len(seeds) == 0 {
@@ -55,7 +74,11 @@ func (g Grid) Jobs() []Job {
 		}
 	}
 
-	var jobs []Job
+	n, err := g.size()
+	if err != nil {
+		panic("sweep: " + err.Error())
+	}
+	jobs := make([]Job, 0, n)
 	combo := make([]int, len(g.Knobs))
 	for _, scale := range scales {
 		for {

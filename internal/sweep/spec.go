@@ -1,21 +1,19 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
-	"ntpddos/internal/detect"
 	"ntpddos/internal/reflector"
 	"ntpddos/internal/scenario"
 )
 
 // Spec is the declarative sweep description: seed ranges, a Scale ladder,
-// a window truncation, and the grid knobs (detector ablation, BCP38 spoofer
-// fractions, remediation-hazard multipliers, no-remediation counterfactual,
-// and the fault-injection plane's loss/dup/reorder/flap/sample/outage/
-// blackout dimensions).
+// a window truncation, and one field per row of the knob table (params),
+// which says how each parses, validates and lands on scenario.Config.
 // It is the JSON job-spec format the serving layer accepts over HTTP and
 // the surface cmd/ntpsweep's flags compile to, so a job submitted to
 // ntpserved expands into exactly the jobs the CLI would run.
@@ -31,80 +29,52 @@ type Spec struct {
 	Scales []int `json:"scales,omitempty"`
 	// End truncates the window at this date (YYYY-MM-DD; empty = full).
 	End string `json:"end,omitempty"`
-	// Detect is the streaming-detector knob: "", "off", "on", or "both".
-	Detect string `json:"detect,omitempty"`
-	// NoRemediation is the counterfactual knob: "", "off", "on", or "both".
-	NoRemediation string `json:"noremediation,omitempty"`
-	// Spoof lists BCP38 spoofer fractions (0 meaning nobody spoofs).
-	Spoof []float64 `json:"spoof,omitempty"`
-	// Hazard lists remediation-hazard multipliers.
-	Hazard []float64 `json:"hazard,omitempty"`
-	// Vectors arms extra reflector planes alongside monlist ("dns-any",
-	// "ssdp", "chargen"). Base-config setting, not a grid dimension:
-	// registering a population is free until a campaign share uses it.
-	Vectors []string `json:"vectors,omitempty"`
-	// Pulse lists pulse-wave campaign shares in [0,1].
-	Pulse []float64 `json:"pulse,omitempty"`
-	// Carpet lists carpet-bombing campaign shares in [0,1].
-	Carpet []float64 `json:"carpet,omitempty"`
-	// Multi lists multi-vector campaign shares in [0,1].
-	Multi []float64 `json:"multi,omitempty"`
-	// Loss lists fabric packet-loss rates in [0,1) — the fault-injection
-	// plane's primary knob for detection-degradation curves.
-	Loss []float64 `json:"loss,omitempty"`
-	// Dup lists fabric duplication rates in [0,1).
-	Dup []float64 `json:"dup,omitempty"`
-	// Reorder lists fabric reordering rates in [0,1).
-	Reorder []float64 `json:"reorder,omitempty"`
-	// Flap lists link-flap dark fractions in [0,1).
-	Flap []float64 `json:"flap,omitempty"`
-	// Sample lists NetFlow 1-in-N sampling strides (each at least 1;
-	// 1 means every export is seen).
-	Sample []int `json:"sample,omitempty"`
-	// Outage lists NetFlow collector dark fractions in [0,1).
-	Outage []float64 `json:"outage,omitempty"`
-	// Blackout lists honeypot sensor blackout fractions in [0,1).
-	Blackout []float64 `json:"blackout,omitempty"`
-	// TimeSync sizes the disciplined-client plane (0 keeps it off).
-	// Base-config setting like Vectors, not a grid dimension.
-	TimeSync int `json:"timesync,omitempty"`
-	// TimeAttack lists time-integrity attack shares in [0,1]; requires
-	// TimeSync.
-	TimeAttack []float64 `json:"timeattack,omitempty"`
+	// The knob-table rows: each field's help, kind, range and Config
+	// setter live in its row of params, keyed by the JSON name.
+	Detect        string    `json:"detect,omitempty"`
+	NoRemediation string    `json:"noremediation,omitempty"`
+	Spoof         []float64 `json:"spoof,omitempty"`
+	Hazard        []float64 `json:"hazard,omitempty"`
+	Vectors       []string  `json:"vectors,omitempty"`
+	Pulse         []float64 `json:"pulse,omitempty"`
+	Carpet        []float64 `json:"carpet,omitempty"`
+	Multi         []float64 `json:"multi,omitempty"`
+	Loss          []float64 `json:"loss,omitempty"`
+	Dup           []float64 `json:"dup,omitempty"`
+	Reorder       []float64 `json:"reorder,omitempty"`
+	Flap          []float64 `json:"flap,omitempty"`
+	Sample        []int     `json:"sample,omitempty"`
+	Outage        []float64 `json:"outage,omitempty"`
+	Blackout      []float64 `json:"blackout,omitempty"`
+	TimeSync      int       `json:"timesync,omitempty"`
+	TimeAttack    []float64 `json:"timeattack,omitempty"`
 }
 
-// NumJobs returns how many jobs the spec expands to, without building
-// configs — the admission controller's cheap pre-flight check.
+// MaxJobs bounds how many jobs one spec may expand to: NumJobs and Grid
+// refuse a spec past it before expanding anything.
+const MaxJobs = 1 << 20
+
+// maxSeeds bounds a spec's seed count, the same bound a single seed range
+// already has.
+const maxSeeds = 10_000
+
+// ErrTooLarge is wrapped by every error for a spec or grid that would
+// expand past MaxJobs.
+var ErrTooLarge = errors.New("too many jobs")
+
+// NumJobs returns how many jobs the spec expands to, without expanding
+// them — the admission controller's cheap pre-flight check. It validates
+// the spec as Grid does, so a count it returns is always exact.
 func (s Spec) NumJobs() (int, error) {
-	seeds, err := ParseSeeds(s.Seeds)
+	g, err := s.Grid(scenario.Config{})
 	if err != nil {
 		return 0, err
 	}
-	n := len(seeds)
-	if len(s.Scales) > 0 {
-		n *= len(s.Scales)
-	}
-	for _, knob := range []string{s.Detect, s.NoRemediation} {
-		if knob == "both" {
-			n *= 2
-		}
-	}
-	for _, vals := range [][]float64{
-		s.Spoof, s.Hazard, s.Pulse, s.Carpet, s.Multi,
-		s.Loss, s.Dup, s.Reorder, s.Flap, s.Outage, s.Blackout,
-		s.TimeAttack,
-	} {
-		if len(vals) > 0 {
-			n *= len(vals)
-		}
-	}
-	if len(s.Sample) > 0 {
-		n *= len(s.Sample)
-	}
-	return n, nil
+	return g.size()
 }
 
-// Grid compiles the spec against a base configuration. The returned grid's
+// Grid compiles the spec against a base configuration: the fixed fields
+// first, then each knob-table row in table order. The returned grid's
 // Jobs() are deterministic in spec order, which is what makes a daemon-run
 // sweep byte-identical to the same spec run in-process.
 func (s Spec) Grid(base scenario.Config) (Grid, error) {
@@ -132,123 +102,19 @@ func (s Spec) Grid(base scenario.Config) (Grid, error) {
 		}
 		g.Base.End = end
 	}
-	detectVals, err := OnOffKnob(s.Detect, func(c *scenario.Config) {
-		dcfg := detect.DefaultConfig()
-		c.Detector = &dcfg
-	})
-	if err != nil {
-		return g, fmt.Errorf("bad detect %q: %w", s.Detect, err)
-	}
-	if detectVals != nil {
-		g.Knobs = append(g.Knobs, Knob{Name: "detect", Values: detectVals})
-	}
-	noremVals, err := OnOffKnob(s.NoRemediation, func(c *scenario.Config) {
-		c.NoRemediation = true
-	})
-	if err != nil {
-		return g, fmt.Errorf("bad noremediation %q: %w", s.NoRemediation, err)
-	}
-	if noremVals != nil {
-		g.Knobs = append(g.Knobs, Knob{Name: "noremediation", Values: noremVals})
-	}
-	if len(s.Spoof) > 0 {
-		g.Knobs = append(g.Knobs, Knob{Name: "spoof", Values: FloatKnob(s.Spoof,
-			func(c *scenario.Config, v float64) {
-				if v == 0 {
-					v = -1 // Config uses 0 for "default"; 0 in a spec means nobody spoofs
-				}
-				c.SpooferFraction = v
-			})})
-	}
-	if len(s.Hazard) > 0 {
-		g.Knobs = append(g.Knobs, Knob{Name: "hazard", Values: FloatKnob(s.Hazard,
-			func(c *scenario.Config, v float64) {
-				c.RemediationHazard = v
-			})})
-	}
-	for i, name := range s.Vectors {
-		v := reflector.Vector(name)
-		if name == "" || v == reflector.Monlist || !reflector.Valid(v) {
-			return g, fmt.Errorf("bad vectors[%d] %q: want one of %v", i, name, ExtraVectorNames())
-		}
-	}
-	if len(s.Vectors) > 0 {
-		g.Base.ExtraVectors = s.Vectors
-	}
-	if s.TimeSync < 0 {
-		return g, fmt.Errorf("bad timesync %d: must be non-negative", s.TimeSync)
-	}
-	if s.TimeSync > 0 {
-		g.Base.TimeSync.Clients = s.TimeSync
-	}
-	if len(s.TimeAttack) > 0 {
-		if s.TimeSync == 0 {
-			return g, fmt.Errorf("timeattack requires timesync clients")
-		}
-		for i, v := range s.TimeAttack {
-			if v < 0 || v > 1 {
-				return g, fmt.Errorf("bad timeattack[%d] %v: share must be within [0,1]", i, v)
-			}
-		}
-		g.Knobs = append(g.Knobs, Knob{Name: "timeattack", Values: FloatKnob(s.TimeAttack,
-			func(c *scenario.Config, v float64) { c.TimeAttackShare = v })})
-	}
-	for _, share := range []struct {
-		name string
-		vals []float64
-		set  func(*scenario.Config, float64)
-	}{
-		{"pulse", s.Pulse, func(c *scenario.Config, v float64) { c.PulseWaveShare = v }},
-		{"carpet", s.Carpet, func(c *scenario.Config, v float64) { c.CarpetBombShare = v }},
-		{"multi", s.Multi, func(c *scenario.Config, v float64) { c.MultiVectorShare = v }},
-	} {
-		if len(share.vals) == 0 {
+	for _, p := range params {
+		if !p.isSet(&s) {
 			continue
 		}
-		for i, v := range share.vals {
-			if v < 0 || v > 1 {
-				return g, fmt.Errorf("bad %s[%d] %v: share must be within [0,1]", share.name, i, v)
-			}
+		if p.needs != "" && !lookup(p.needs).isSet(&s) {
+			return g, fmt.Errorf("%s requires %s to be set", p.key, p.needs)
 		}
-		g.Knobs = append(g.Knobs, Knob{Name: share.name, Values: FloatKnob(share.vals, share.set)})
+		if err := p.compile(&s, &g); err != nil {
+			return g, err
+		}
 	}
-	for _, rate := range []struct {
-		name string
-		vals []float64
-		set  func(*scenario.Config, float64)
-	}{
-		{"loss", s.Loss, func(c *scenario.Config, v float64) { c.Faults.Loss = v }},
-		{"dup", s.Dup, func(c *scenario.Config, v float64) { c.Faults.Dup = v }},
-		{"reorder", s.Reorder, func(c *scenario.Config, v float64) { c.Faults.Reorder = v }},
-		{"flap", s.Flap, func(c *scenario.Config, v float64) { c.Faults.FlapRate = v }},
-		{"outage", s.Outage, func(c *scenario.Config, v float64) { c.Faults.CollectorOutage = v }},
-		{"blackout", s.Blackout, func(c *scenario.Config, v float64) { c.Faults.SensorBlackout = v }},
-	} {
-		if len(rate.vals) == 0 {
-			continue
-		}
-		for i, v := range rate.vals {
-			if v < 0 || v >= 1 {
-				return g, fmt.Errorf("bad %s[%d] %v: rate must be within [0,1)", rate.name, i, v)
-			}
-		}
-		g.Knobs = append(g.Knobs, Knob{Name: rate.name, Values: FloatKnob(rate.vals, rate.set)})
-	}
-	if len(s.Sample) > 0 {
-		vals := make([]KnobValue, 0, len(s.Sample))
-		for i, n := range s.Sample {
-			if n < 1 {
-				return g, fmt.Errorf("bad sample[%d] %d: sampling stride must be at least 1", i, n)
-			}
-			n := n
-			vals = append(vals, KnobValue{
-				Label: strconv.Itoa(n),
-				Apply: func(c *scenario.Config) { c.Faults.FlowSampleN = n },
-			})
-		}
-		g.Knobs = append(g.Knobs, Knob{Name: "sample", Values: vals})
-	}
-	return g, nil
+	_, err = g.size()
+	return g, err
 }
 
 // ExtraVectorNames lists the vectors a spec may arm beyond monlist — the
@@ -272,7 +138,8 @@ func (s Spec) Jobs(base scenario.Config) ([]Job, error) {
 	return g.Jobs(), nil
 }
 
-// ParseSeeds expands "1-16" / "1,5,9-12" into an ordered seed list.
+// ParseSeeds expands "1-16" / "1,5,9-12" into an ordered seed list of at
+// most 10,000 seeds, failing before it allocates past that bound.
 func ParseSeeds(spec string) ([]uint64, error) {
 	var seeds []uint64
 	for _, part := range strings.Split(spec, ",") {
@@ -280,25 +147,24 @@ func ParseSeeds(spec string) ([]uint64, error) {
 		if part == "" {
 			continue
 		}
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err1 := strconv.ParseUint(strings.TrimSpace(lo), 10, 64)
-			b, err2 := strconv.ParseUint(strings.TrimSpace(hi), 10, 64)
-			if err1 != nil || err2 != nil || b < a {
-				return nil, fmt.Errorf("bad seed range %q", part)
-			}
-			if b-a >= 10_000 {
-				return nil, fmt.Errorf("seed range %q too large", part)
-			}
-			for s := a; s <= b; s++ {
-				seeds = append(seeds, s)
-			}
-			continue
+		// A single seed is the range n-n.
+		lo, hi, isRange := strings.Cut(part, "-")
+		if !isRange {
+			hi = lo
 		}
-		s, err := strconv.ParseUint(part, 10, 64)
-		if err != nil {
+		a, err1 := strconv.ParseUint(strings.TrimSpace(lo), 10, 64)
+		b, err2 := strconv.ParseUint(strings.TrimSpace(hi), 10, 64)
+		switch {
+		case err1 != nil || err2 != nil || b < a:
 			return nil, fmt.Errorf("bad seed %q", part)
+		case b-a >= maxSeeds:
+			return nil, fmt.Errorf("seed range %q too large", part)
+		case len(seeds)+int(b-a) >= maxSeeds:
+			return nil, fmt.Errorf("seeds %q: more than %d seeds", spec, maxSeeds)
 		}
-		seeds = append(seeds, s)
+		for s := a; s <= b; s++ {
+			seeds = append(seeds, s)
+		}
 	}
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("no seeds in %q", spec)

@@ -85,27 +85,114 @@ func (s *Simulation) Results() *scenario.Results { return s.res }
 // Scale returns the population re-inflation factor of this run.
 func (s *Simulation) Scale() int { return s.res.Cfg.Scale }
 
+// experiment is one entry of the registry behind All, ByID, Report,
+// Reports and ExperimentIDs.
+type experiment struct {
+	id    string
+	table func(*Simulation) *Table
+	// extra is nil for the paper's tables, which make up All(). For a
+	// report outside All() it says whether Reports includes it in a run.
+	extra func(*Simulation) bool
+}
+
+func detectorOn(s *Simulation) bool { return s.res.Cfg.Detector != nil }
+func timeSyncOn(s *Simulation) bool { return s.res.Cfg.TimeSync.Clients > 0 }
+
+// experiments is the registry, in presentation order.
+var experiments = []experiment{
+	{"fig1", (*Simulation).Figure1, nil},
+	{"fig2", (*Simulation).Figure2, nil},
+	{"fig3", (*Simulation).Figure3, nil},
+	{"fig4a", (*Simulation).Figure4a, nil},
+	{"fig4b", (*Simulation).Figure4b, nil},
+	{"fig4c", (*Simulation).Figure4c, nil},
+	{"table1a", (*Simulation).Table1Amplifiers, nil},
+	{"table1v", (*Simulation).Table1Victims, nil},
+	{"table2", (*Simulation).Table2, nil},
+	{"table3", (*Simulation).Table3, nil},
+	{"fig5", (*Simulation).Figure5, nil},
+	{"table4", (*Simulation).Table4, nil},
+	{"fig6", (*Simulation).Figure6, nil},
+	{"fig7", (*Simulation).Figure7, nil},
+	{"fig8", (*Simulation).Figure8, nil},
+	{"fig9", (*Simulation).Figure9, nil},
+	{"fig10", (*Simulation).Figure10, nil},
+	{"fig11", (*Simulation).Figure11, nil},
+	{"fig12", (*Simulation).Figure12, nil},
+	{"fig13", (*Simulation).Figure13, nil},
+	{"fig14", (*Simulation).Figure14, nil},
+	{"fig15", (*Simulation).Figure15, nil},
+	{"fig16", (*Simulation).Figure16, nil},
+	{"table5", (*Simulation).Table5, nil},
+	{"table6", (*Simulation).Table6, nil},
+	{"churn", (*Simulation).ChurnReport, nil},
+	{"volume", (*Simulation).VolumeReport, nil},
+	{"remediation", (*Simulation).RemediationReport, nil},
+	{"dnsoverlap", (*Simulation).DNSOverlapReport, nil},
+	{"ttl", (*Simulation).TTLReport, nil},
+	{"mega", (*Simulation).MegaReport, nil},
+	{"honeypot", (*Simulation).HoneypotReport, nil},
+	{"hpconv", (*Simulation).HoneypotConvergence, nil},
+	// Outside All(): each depends on a plane the All() digest must not.
+	{"detect", (*Simulation).DetectReport, detectorOn},
+	{"vectors", (*Simulation).DetectVectorReport, detectorOn},
+	{"timesync", (*Simulation).TimeSyncReport, timeSyncOn},
+	{"timeintegrity", (*Simulation).TimeIntegrityReport,
+		func(s *Simulation) bool { return detectorOn(s) && timeSyncOn(s) }},
+	{"hpevents", (*Simulation).HoneypotEvents, func(*Simulation) bool { return false }},
+}
+
+// ExperimentIDs lists every experiment id, All()'s tables first and then
+// the reports outside it.
+func ExperimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
 // All returns every table and figure of the paper's evaluation, in
 // presentation order.
 func (s *Simulation) All() []*Table {
-	return []*Table{
-		s.Figure1(), s.Figure2(), s.Figure3(), s.Figure4a(), s.Figure4b(),
-		s.Figure4c(), s.Table1Amplifiers(), s.Table1Victims(), s.Table2(),
-		s.Table3(), s.Figure5(), s.Table4(), s.Figure6(), s.Figure7(),
-		s.Figure8(), s.Figure9(), s.Figure10(), s.Figure11(), s.Figure12(),
-		s.Figure13(), s.Figure14(), s.Figure15(), s.Figure16(), s.Table5(),
-		s.Table6(), s.ChurnReport(), s.VolumeReport(), s.RemediationReport(),
-		s.DNSOverlapReport(), s.TTLReport(), s.MegaReport(),
-		s.HoneypotReport(), s.HoneypotConvergence(),
+	var out []*Table
+	for _, e := range experiments {
+		if e.extra == nil {
+			out = append(out, e.table(s))
+		}
 	}
+	return out
 }
 
-// ByID returns the experiment table with the given id ("fig1", "table4",
+// Reports returns All() followed by the reports outside it whose plane
+// this run armed: the detector reports, the sync-discipline reports.
+func (s *Simulation) Reports() []*Table {
+	out := s.All()
+	for _, e := range experiments {
+		if e.extra != nil && e.extra(s) {
+			out = append(out, e.table(s))
+		}
+	}
+	return out
+}
+
+// ByID returns the All() table with the given id ("fig1", "table4",
 // "churn", ...), or nil.
 func (s *Simulation) ByID(id string) *Table {
-	for _, t := range s.All() {
-		if t.ID == id {
-			return t
+	for _, e := range experiments {
+		if e.id == id && e.extra == nil {
+			return e.table(s)
+		}
+	}
+	return nil
+}
+
+// Report returns the table of any experiment id, including the reports
+// outside All(), or nil.
+func (s *Simulation) Report(id string) *Table {
+	for _, e := range experiments {
+		if e.id == id {
+			return e.table(s)
 		}
 	}
 	return nil
