@@ -145,7 +145,14 @@ type View struct {
 	Name string
 
 	db       *asdb.DB
-	prefixes []netaddr.Prefix
+	prefixes []netaddr.Prefix // fixed after New
+
+	// The last (src, dst) pair classified and its answer: a fragment train
+	// is a run of packets with one address pair, and the prefix scan is
+	// linear. prefixes never change, so the memo cannot go stale.
+	lastSrc, lastDst     netaddr.Addr
+	lastSrcIn, lastDstIn bool
+	lastPairOK           bool
 
 	// IngressNTP and EgressNTP are on-wire byte series at hourly buckets:
 	// the Figure 11/12 lines (udp dport=123 and udp sport=123).
@@ -282,10 +289,18 @@ func (v *View) AddBaseline(proto string, from, to time.Time, bytesPerHour float6
 	}
 }
 
+// classify reports whether src and dst are inside the view's network.
+func (v *View) classify(src, dst netaddr.Addr) (srcIn, dstIn bool) {
+	if !v.lastPairOK || src != v.lastSrc || dst != v.lastDst {
+		v.lastSrc, v.lastDst, v.lastPairOK = src, dst, true
+		v.lastSrcIn, v.lastDstIn = v.Contains(src), v.Contains(dst)
+	}
+	return v.lastSrcIn, v.lastDstIn
+}
+
 // Observe implements netsim.Tap.
 func (v *View) Observe(dg *packet.Datagram, now time.Time) {
-	srcIn := v.Contains(dg.IP.Src)
-	dstIn := v.Contains(dg.IP.Dst)
+	srcIn, dstIn := v.classify(dg.IP.Src, dg.IP.Dst)
 	if !srcIn && !dstIn {
 		return
 	}

@@ -10,6 +10,7 @@ import (
 	"ntpddos/internal/netsim"
 	"ntpddos/internal/ntp"
 	"ntpddos/internal/ntpd"
+	"ntpddos/internal/packet"
 	"ntpddos/internal/rng"
 	"ntpddos/internal/vtime"
 )
@@ -215,5 +216,77 @@ func TestPairVolume(t *testing.T) {
 	}
 	if p, _, _ := f.view.PairVolume(f.victim, f.amp.Addr()); p != 0 {
 		t.Fatal("reversed pair must be empty")
+	}
+}
+
+// TestObserveAlternatingPairs feeds one view in→out, out→in and out→out
+// packets in alternation, with repeats, so the (src, dst) classification
+// memo is hit, missed and re-filled, and checks every total against values
+// worked out by hand. On-wire sizes: a 440-byte response is 20+8+440 = 468
+// IP bytes, +18 Ethernet = 486, +20 preamble/gap = 506; a 48-byte padded
+// monlist request is 76 IP bytes, 94 framed, 114 on the wire.
+func TestObserveAlternatingPairs(t *testing.T) {
+	db := asdb.Build(rng.New(11), asdb.Config{NumASes: 50, SpooferFraction: 1})
+	merit := db.ByName(asdb.NameMerit)
+	v := New("Merit", db, merit)
+	in := merit.Prefixes[0].Nth(100)
+	out1 := db.ByName("OCN-JP").Prefixes[0].Nth(500)
+	out2 := db.ByName("OCN-JP").Prefixes[0].Nth(501)
+
+	resp := make([]byte, 440)
+	resp[0] = 0x97 // response bit, version 2, mode 7
+	req := ntp.NewMonlistRequestPadded(ntp.ImplXNTPD, ntp.ReqMonGetList1)
+	now := vtime.Epoch.Add(3 * time.Hour)
+	send := func(src, dst netaddr.Addr, sport, dport uint16, ttl uint8, payload []byte, rep int64) {
+		dg := packet.NewDatagram(src, sport, dst, dport, payload)
+		dg.IP.TTL = ttl
+		dg.Rep = rep
+		v.Observe(dg, now)
+	}
+	egress := func(dst netaddr.Addr, rep int64) { send(in, dst, 123, 80, 54, resp, rep) }
+	ingress := func(src netaddr.Addr, ttl uint8, rep int64) { send(src, in, 80, 123, ttl, req, rep) }
+	outside := func(rep int64) { send(out1, out2, 80, 123, 109, req, rep) }
+
+	egress(out1, 3)       // in→out
+	egress(out1, 2)       // repeat
+	ingress(out1, 109, 5) // out→in: a trigger batch (Rep > 1) spoofing out1
+	outside(7)            // out→out: not ours
+	egress(out2, 1)       // in→out, same source, new destination
+	ingress(out2, 54, 1)  // out→in: a single scanner probe
+	ingress(out2, 54, 1)  // repeat
+	outside(7)            // repeat
+	egress(out1, 4)       // back to the first pair
+	send(out2, out1, 123, 80, 54, resp, 1)
+
+	const wireResp, wireReq = 506, 114
+	if got, want := v.EgressNTP.At(now), float64((3+2+1+4)*wireResp); got != want {
+		t.Errorf("EgressNTP = %v, want %v", got, want)
+	}
+	if got, want := v.IngressNTP.At(now), float64((5+1+1)*wireReq); got != want {
+		t.Errorf("IngressNTP = %v, want %v", got, want)
+	}
+	if got, want := v.ProtoBytes["ntp"].At(now), float64(10*wireResp+7*wireReq); got != want {
+		t.Errorf("ntp protocol bytes = %v, want %v (out→out traffic leaked in)", got, want)
+	}
+	amp := v.amps[in]
+	if amp == nil || amp.PayloadOut != 10*440 || amp.PayloadIn != 7*48 || amp.WireOut != 10*wireResp {
+		t.Fatalf("amplifier totals = %+v, want payload out 4400, in 336, wire out 5060", amp)
+	}
+	if po, wo, n := v.PairVolume(in, out1); po != 9*440 || wo != 9*wireResp || n != 9 {
+		t.Errorf("pair in→out1 = %d/%d/%d, want 3960/4554/9", po, wo, n)
+	}
+	v1, v2 := v.victims[out1], v.victims[out2]
+	if v1 == nil || v1.PayloadIn != 9*440 || v1.Packets != 9 || v1.TriggerOut != 5*48 {
+		t.Errorf("victim out1 = %+v, want 3960 payload bytes in 9 packets, 240 trigger bytes", v1)
+	}
+	if v2 == nil || v2.PayloadIn != 440 || v2.Packets != 1 || v2.TriggerOut != 0 {
+		t.Errorf("victim out2 = %+v, want 440 payload bytes in 1 packet, no triggers", v2)
+	}
+	if sc := v.scanners[out2]; sc == nil || sc.Packets != 2 || len(v.scanners) != 1 {
+		t.Errorf("scanners = %v, want out2 with 2 probes", v.scanners)
+	}
+	if v.TriggerTTL.Count(109) != 5 || v.ScanTTL.Count(54) != 2 {
+		t.Errorf("TTL histograms: trigger@109 = %d, scan@54 = %d; want 5, 2",
+			v.TriggerTTL.Count(109), v.ScanTTL.Count(54))
 	}
 }

@@ -64,11 +64,12 @@ type Stats struct {
 // scheduler, keeping the simulation deterministic.
 //
 // Datagram ownership: SendFrom copies the caller's datagram (header fields
-// and payload bytes) into a pooled in-flight copy, so senders may reuse
-// their datagram and payload buffers the moment SendFrom returns. The
-// in-flight copy is released back to the pool right after delivery: hosts
-// and taps must not retain the *Datagram or its payload past
-// HandlePacket/Observe — copy what must outlive the call.
+// and payload bytes) into a pooled in-flight copy, and SendTrain does the
+// same for each fragment, so senders may reuse their datagram and payload
+// buffers the moment the call returns. The in-flight copy is released back
+// to the pool right after delivery: hosts and taps must not retain the
+// *Datagram or its payload past HandlePacket/Observe — copy what must
+// outlive the call.
 type Network struct {
 	sched  *vtime.Scheduler
 	policy SpoofPolicy
@@ -235,60 +236,121 @@ func PathLatency(src, dst netaddr.Addr) time.Duration {
 // SendFrom injects a datagram into the fabric from a host whose true
 // address is origin. If the datagram's IP source differs from origin, the
 // spoof policy decides whether the packet leaves the source network at all.
-// It returns false when the packet was dropped at the source.
+// It returns false when the packet was dropped at the source or expired in
+// transit. SendFrom is a one-fragment SendTrain.
 func (n *Network) SendFrom(origin netaddr.Addr, dg *packet.Datagram) bool {
-	rep := dg.Rep
-	if rep <= 0 {
-		rep = 1
+	var tr train
+	ok := n.route(&tr, origin, dg)
+	n.sendFragment(&tr, dg, dg.Payload)
+	return ok
+}
+
+// SendTrain injects a train of fragments that share one header: each
+// fragment is sent as hdr with that fragment as its payload (hdr.Payload is
+// ignored), in order. The work that depends only on the (origin,
+// destination) pair — spoof policy, path hops and TTL, latency, flap state,
+// the taps' timestamp — runs once per train; every fragment still gets its
+// own counters, impairment draws, pooled copy, tap observations and
+// delivery, exactly as consecutive SendFrom calls would. The fabric copies
+// each fragment, so the caller may reuse hdr and frags on return. It
+// returns false when the train was dropped at the source or expired.
+func (n *Network) SendTrain(origin netaddr.Addr, hdr *packet.Datagram, frags [][]byte) bool {
+	var tr train
+	ok := n.route(&tr, origin, hdr)
+	for _, f := range frags {
+		n.sendFragment(&tr, hdr, f)
 	}
-	if dg.IP.Src != origin && !n.policy(origin, dg.IP.Src) {
+	return ok
+}
+
+// train is the per-train send state: the verdicts and path properties
+// shared by every fragment from one origin under one header. It holds no
+// pointers, so a sender's header never escapes through it.
+type train struct {
+	rep     int64
+	spoofed bool // dropped by the source network's spoof policy
+	expired bool // TTL runs out on the path
+	hops    int
+	latency time.Duration
+	now     time.Time
+	down    bool    // the link is inside a flap window
+	loss    float64 // the link's loss probability
+}
+
+// route fills tr for a train from origin under hdr.
+func (n *Network) route(tr *train, origin netaddr.Addr, hdr *packet.Datagram) bool {
+	tr.rep = hdr.Rep
+	if tr.rep <= 0 {
+		tr.rep = 1
+	}
+	if hdr.IP.Src != origin && !n.policy(origin, hdr.IP.Src) {
+		tr.spoofed = true
+		return false
+	}
+	// The path is computed from the true origin: TTL decay reveals the
+	// sender's distance regardless of the claimed source — the very signal
+	// the §7.2 TTL analysis exploits.
+	dst := hdr.IP.Dst
+	tr.hops = PathHops(origin, dst)
+	if int(hdr.IP.TTL) <= tr.hops {
+		tr.expired = true
+		return false
+	}
+	tr.latency = PathLatency(origin, dst)
+	tr.now = n.Now()
+	if st := n.impair; st != nil {
+		tr.down = st.linkDown(origin, dst, tr.now)
+		tr.loss = st.linkLoss(origin, dst)
+	}
+	return true
+}
+
+// sendFragment sends one fragment of a train routed under hdr.
+func (n *Network) sendFragment(tr *train, hdr *packet.Datagram, payload []byte) {
+	rep := tr.rep
+	if tr.spoofed {
 		n.stats.DroppedSpoof += rep
 		if n.m != nil {
 			n.m.DroppedSpoof.Add(rep)
 			n.m.dropSpoof.Add(rep)
 		}
-		return false
+		return
 	}
+	wire := int64(packet.OnWireBytesForUDPPayload(len(payload))) * rep
 	n.stats.Sent += rep
-	n.stats.BytesOnWire += int64(dg.OnWire()) * rep
+	n.stats.BytesOnWire += wire
 	if n.m != nil {
 		n.m.Sent.Add(rep)
-		n.m.Bytes.Add(int64(dg.OnWire()) * rep)
+		n.m.Bytes.Add(wire)
 	}
-
-	// The path is computed from the true origin: TTL decay reveals the
-	// sender's distance regardless of the claimed source — the very signal
-	// the §7.2 TTL analysis exploits.
-	hops := PathHops(origin, dg.IP.Dst)
-	if int(dg.IP.TTL) <= hops {
+	if tr.expired {
 		if n.m != nil {
 			n.m.Expired.Add(rep)
 			n.m.dropTTL.Add(rep)
 		}
-		return false // expired in transit
+		return
 	}
 
-	dst := dg.IP.Dst
-	latency := PathLatency(origin, dst)
+	latency := tr.latency
 	var dups int64
 	if st := n.impair; st != nil {
 		// Flap windows swallow the batch whole: the sender saw it leave, so
-		// this (and every in-transit fault below) still returns true.
-		if st.linkDown(origin, dst, n.Now()) {
+		// this (and every in-transit fault below) still counts as sent.
+		if tr.down {
 			n.stats.DroppedFlap += rep
 			if n.m != nil {
 				n.m.dropFlap.Add(rep)
 			}
-			return true
+			return
 		}
-		if lost := st.src.Binomial(rep, st.linkLoss(origin, dst)); lost > 0 {
+		if lost := st.src.Binomial(rep, tr.loss); lost > 0 {
 			n.stats.DroppedLoss += lost
 			if n.m != nil {
 				n.m.dropLoss.Add(lost)
 			}
 			rep -= lost
 			if rep == 0 {
-				return true
+				return
 			}
 		}
 		if dups = st.src.Binomial(rep, st.cfg.Dup); dups > 0 {
@@ -306,40 +368,38 @@ func (n *Network) SendFrom(origin netaddr.Addr, dg *packet.Datagram) bool {
 		}
 	}
 
-	delivered := n.getDatagram(dg)
-	delivered.IP.TTL -= uint8(hops)
+	delivered := n.getDatagram(hdr, payload)
+	delivered.IP.TTL -= uint8(tr.hops)
 	delivered.Rep = rep
-
-	for _, t := range n.taps {
-		t.Observe(delivered, n.Now())
-	}
-	if n.m != nil {
-		n.m.TapFanout.Add(int64(len(n.taps)))
-	}
-	n.deliverAfter(delivered, latency)
+	n.observe(delivered, tr.now)
+	n.sched.AfterBatch(latency, n, delivered)
 
 	if dups > 0 {
 		// Duplicates are real wire packets: taps see them, and they arrive
 		// on their own (slower) schedule. The copy gets its own pooled
 		// buffer — both copies are in flight (and released) independently.
-		dup := n.getDatagram(delivered)
+		dup := n.getDatagram(delivered, delivered.Payload)
 		dup.Rep = dups
-		for _, t := range n.taps {
-			t.Observe(dup, n.Now())
-		}
-		if n.m != nil {
-			n.m.TapFanout.Add(int64(len(n.taps)))
-		}
+		n.observe(dup, tr.now)
 		extra := time.Duration(n.impair.src.Int64N(int64(100*time.Millisecond))) + time.Millisecond
-		n.deliverAfter(dup, latency+extra)
+		n.sched.AfterBatch(latency+extra, n, dup)
 	}
-	return true
+}
+
+// observe shows an in-flight copy to every tap.
+func (n *Network) observe(cp *packet.Datagram, now time.Time) {
+	for _, t := range n.taps {
+		t.Observe(cp, now)
+	}
+	if n.m != nil {
+		n.m.TapFanout.Add(int64(len(n.taps)))
+	}
 }
 
 // getDatagram takes an in-flight copy off the free list (or allocates one)
-// and fills it from src: header fields by value, payload by byte copy into
-// the pooled buffer.
-func (n *Network) getDatagram(src *packet.Datagram) *packet.Datagram {
+// and fills it from hdr and payload: header fields by value, payload by byte
+// copy into the pooled buffer.
+func (n *Network) getDatagram(hdr *packet.Datagram, payload []byte) *packet.Datagram {
 	var cp *packet.Datagram
 	if k := len(n.dgPool); k > 0 {
 		cp = n.dgPool[k-1]
@@ -347,10 +407,10 @@ func (n *Network) getDatagram(src *packet.Datagram) *packet.Datagram {
 	} else {
 		cp = &packet.Datagram{}
 	}
-	cp.IP = src.IP
-	cp.UDP = src.UDP
-	cp.Payload = append(cp.Payload[:0], src.Payload...)
-	cp.Rep = src.Rep
+	cp.IP = hdr.IP
+	cp.UDP = hdr.UDP
+	cp.Payload = append(cp.Payload[:0], payload...)
+	cp.Rep = hdr.Rep
 	return cp
 }
 
@@ -361,16 +421,12 @@ func (n *Network) releaseDatagram(cp *packet.Datagram) {
 	n.dgPool = append(n.dgPool, cp)
 }
 
-// deliverAfter schedules an in-flight copy's arrival. Same-instant arrivals
-// coalesce into one scheduler event (the network is the batch sink), which
-// the scheduler guarantees is order-identical to one event per packet.
-func (n *Network) deliverAfter(cp *packet.Datagram, after time.Duration) {
-	n.sched.AtBatch(n.Now().Add(after), n, cp)
-}
-
 // RunBatch implements vtime.BatchSink: it delivers a batch of same-instant
 // in-flight datagrams — handed to the registered host, or counted dark when
 // nothing answers — releasing each copy back to the pool afterwards.
+// Same-instant arrivals coalesce into one scheduler event (the network is
+// the batch sink), which the scheduler guarantees is order-identical to one
+// event per packet.
 func (n *Network) RunBatch(now time.Time, items []any) {
 	// Same-instant batches are dominated by runs to one destination (trigger
 	// bursts, monlist fragments); memoize the last host lookup, invalidated

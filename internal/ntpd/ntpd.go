@@ -161,12 +161,13 @@ type Server struct {
 	cacheAt    time.Time
 	cacheFrags [][]byte
 
-	// Scratch state for the zero-alloc reply path. SendFrom copies the
-	// datagram and payload into the fabric's pool before returning, so one
-	// reusable datagram and one payload buffer serve every reply, and the
+	// Scratch state for the zero-alloc reply path. SendTrain copies the
+	// header and payloads into the fabric's pool before returning, so one
+	// reusable header and one payload buffer serve every reply, and the
 	// readvar response fragments are encoded once (the sequence field is
 	// patched in place per query — it is the only per-query wire state).
 	out      packet.Datagram
+	one      [1][]byte // the single-fragment train of a mode 4 reply
 	buf      []byte
 	varFrags [][]byte
 	entries  []ntp.MonEntry // monlistEntries scratch, rebuilt per cache miss
@@ -545,26 +546,33 @@ func (s *Server) handleMode7(nw *netsim.Network, dg *packet.Datagram, now time.T
 			s.startMegaReplay(nw, dg, m.Request)
 		}
 	case ntp.ReqPeerList:
-		for _, frag := range ntp.BuildPeerListResponse(s.peerEntries(), s.cfg.Implementation) {
-			if s.send(nw, dg.IP.Src, dg.UDP.SrcPort, frag, dg.Rep) {
-				s.BytesSent += int64(s.out.OnWire()) * dg.Rep
-				if m := s.cfg.Metrics; m != nil {
-					m.BytesSent.Add(int64(s.out.OnWire()) * dg.Rep)
-				}
-			}
-		}
+		frags := ntp.BuildPeerListResponse(s.peerEntries(), s.cfg.Implementation)
+		s.sendTrain(nw, dg.IP.Src, dg.UDP.SrcPort, frags, dg.Rep, nil)
 	}
 }
 
-// send builds a reply in the server's scratch datagram and hands it to the
-// fabric. The scratch is reusable the moment SendFrom returns: the fabric
-// copies both header and payload into its own pooled datagram.
-func (s *Server) send(nw *netsim.Network, dst netaddr.Addr, dstPort uint16, payload []byte, rep int64) bool {
+// sendTrain hands a reply's fragments to the fabric as one train, built on
+// the server's scratch header, and counts each fragment the fabric accepted:
+// rep packets on kind (when non-nil) and its Rep-weighted on-wire bytes.
+// The scratch and frags are reusable the moment it returns: the fabric
+// copies header and payload into its own pooled datagrams.
+func (s *Server) sendTrain(nw *netsim.Network, dst netaddr.Addr, dstPort uint16, frags [][]byte, rep int64, kind *metrics.Counter) bool {
 	s.out.IP = packet.IPv4{TTL: s.cfg.Profile.TTL, Protocol: packet.ProtocolUDP, Src: s.cfg.Addr, Dst: dst}
 	s.out.UDP = packet.UDP{SrcPort: ntp.Port, DstPort: dstPort}
-	s.out.Payload = payload
 	s.out.Rep = rep
-	return nw.SendFrom(s.cfg.Addr, &s.out)
+	if !nw.SendTrain(s.cfg.Addr, &s.out, frags) {
+		return false
+	}
+	m := s.cfg.Metrics
+	for _, f := range frags {
+		wire := int64(packet.OnWireBytesForUDPPayload(len(f))) * rep
+		s.BytesSent += wire
+		if m != nil {
+			kind.Add(rep)
+			m.BytesSent.Add(wire)
+		}
+	}
+	return true
 }
 
 // peerEntries renders the configured upstream associations.
@@ -583,15 +591,8 @@ func (s *Server) peerEntries() []ntp.PeerEntry {
 // may outlive the call holding one.
 func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort uint16, rep int64, reqCode uint8, now time.Time) {
 	fragments := s.monlistFragments(reqCode, rep, now)
-	for _, frag := range fragments {
-		if s.send(nw, victim, victimPort, frag, rep) {
-			s.MonlistSent += rep
-			s.BytesSent += int64(s.out.OnWire()) * rep
-			if m := s.cfg.Metrics; m != nil {
-				m.MonlistSent.Add(rep)
-				m.BytesSent.Add(int64(s.out.OnWire()) * rep)
-			}
-		}
+	if s.sendTrain(nw, victim, victimPort, fragments, rep, s.cfg.Metrics.monlistCounter()) {
+		s.MonlistSent += rep * int64(len(fragments))
 	}
 }
 
@@ -602,7 +603,7 @@ func (s *Server) sendMonlist(nw *netsim.Network, victim netaddr.Addr, victimPort
 // that the probe is "typically but not always" the topmost entry.
 //
 // The returned fragments are valid until the next rebuild (they reuse the
-// cache's buffers); the fabric copies them during SendFrom and the socket
+// cache's buffers); the fabric copies them during SendTrain and the socket
 // path writes them out before processing another packet, so neither caller
 // outlives them.
 func (s *Server) monlistFragments(reqCode uint8, rep int64, now time.Time) [][]byte {
@@ -669,14 +670,8 @@ func (s *Server) handleMode6(nw *netsim.Network, dg *packet.Datagram, now time.T
 	}
 	for _, frag := range s.varFrags {
 		binary.BigEndian.PutUint16(frag[2:], m.Sequence)
-		if s.send(nw, dg.IP.Src, dg.UDP.SrcPort, frag, dg.Rep) {
-			s.BytesSent += int64(s.out.OnWire()) * dg.Rep
-			if mm := s.cfg.Metrics; mm != nil {
-				mm.Mode6Sent.Add(dg.Rep)
-				mm.BytesSent.Add(int64(s.out.OnWire()) * dg.Rep)
-			}
-		}
 	}
+	s.sendTrain(nw, dg.IP.Src, dg.UDP.SrcPort, s.varFrags, dg.Rep, s.cfg.Metrics.mode6Counter())
 }
 
 func (s *Server) refID() string {
@@ -688,10 +683,6 @@ func (s *Server) refID() string {
 
 // reply sends a unicast response back to the querying datagram's source.
 func (s *Server) reply(nw *netsim.Network, dg *packet.Datagram, payload []byte) {
-	if s.send(nw, dg.IP.Src, dg.UDP.SrcPort, payload, dg.Rep) {
-		s.BytesSent += int64(s.out.OnWire()) * dg.Rep
-		if m := s.cfg.Metrics; m != nil {
-			m.BytesSent.Add(int64(s.out.OnWire()) * dg.Rep)
-		}
-	}
+	s.one[0] = payload
+	s.sendTrain(nw, dg.IP.Src, dg.UDP.SrcPort, s.one[:], dg.Rep, nil)
 }

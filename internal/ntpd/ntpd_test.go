@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ntpddos/internal/metrics"
 	"ntpddos/internal/netaddr"
 	"ntpddos/internal/netsim"
 	"ntpddos/internal/ntp"
@@ -447,6 +448,76 @@ func TestRespondMatchesHandlePacket(t *testing.T) {
 		for i := range responses {
 			if string(responses[i]) != string(col.packets[i].Payload) {
 				t.Fatalf("%s: payload %d differs between transports", name, i)
+			}
+		}
+	}
+}
+
+// TestReplyTrainCountsEveryFragment checks the reply-train bookkeeping for
+// every reply kind: each fragment the fabric accepts adds Rep packets to
+// its kind's counter and its Rep-weighted on-wire size to BytesSent, on the
+// Server fields and the metrics alike; a train the fabric refuses (here:
+// a TTL too small for the path) adds nothing.
+func TestReplyTrainCountsEveryFragment(t *testing.T) {
+	queries := map[string][]byte{
+		"monlist": ntp.NewMonlistRequest(ntp.ImplXNTPD, ntp.ReqMonGetList1),
+		"peers":   ntp.NewMonlistRequestPadded(ntp.ImplXNTPD, ntp.ReqPeerList),
+		"readvar": ntp.NewReadVarRequest(3),
+		"mode3":   ntp.NewClientRequest(vtime.Epoch).AppendTo(nil),
+	}
+	const rep = 5
+	for name, q := range queries {
+		for _, ttl := range []uint8{64, 5} {
+			nw, sched := testHarness()
+			m := NewMetrics(metrics.NewRegistry())
+			srv := New(Config{
+				Addr: netaddr.MustParseAddr("10.0.0.2"), Stratum: 2,
+				MonlistEnabled: true, Mode6Enabled: true, ExtraVarBytes: 900,
+				Peers:   []netaddr.Addr{netaddr.MustParseAddr("129.6.15.28")},
+				Profile: Profile{SystemString: "linux", VersionString: "ntpd 4.2.6", TTL: ttl},
+				Metrics: m,
+			})
+			for i := 0; i < 40; i++ {
+				srv.Record(netaddr.Addr(0x0a000100+uint32(i)), 123, ntp.ModeClient, 4, 1, vtime.Epoch)
+			}
+			nw.Register(srv.Addr(), srv)
+			victim := netaddr.MustParseAddr("203.0.113.7")
+			col := &collector{}
+			nw.Register(victim, col)
+			dg := packet.NewDatagram(victim, 80, srv.Addr(), ntp.Port, q)
+			dg.Rep = rep
+			nw.SendFrom(victim, dg)
+			sched.Drain()
+
+			var wire int64
+			for _, p := range col.packets {
+				if p.Rep != rep {
+					t.Fatalf("%s: reply fragment Rep %d, want %d", name, p.Rep, rep)
+				}
+				wire += int64(p.OnWire()) * rep
+			}
+			if ttl == 64 && len(col.packets) == 0 || ttl == 5 && len(col.packets) != 0 {
+				t.Fatalf("%s ttl %d: victim got %d fragments", name, ttl, len(col.packets))
+			}
+			frags := int64(len(col.packets))
+			if name == "readvar" && ttl == 64 && frags < 2 {
+				t.Fatalf("readvar reply is %d fragment(s); the test needs a train", frags)
+			}
+			wantMonlist, wantMode6 := int64(0), int64(0)
+			switch name {
+			case "monlist":
+				wantMonlist = frags * rep
+			case "readvar":
+				wantMode6 = frags * rep
+			}
+			if srv.BytesSent != wire || m.BytesSent.Value() != wire {
+				t.Errorf("%s ttl %d: BytesSent %d, metric %d, want %d", name, ttl, srv.BytesSent, m.BytesSent.Value(), wire)
+			}
+			if srv.MonlistSent != wantMonlist || m.MonlistSent.Value() != wantMonlist {
+				t.Errorf("%s ttl %d: MonlistSent %d, metric %d, want %d", name, ttl, srv.MonlistSent, m.MonlistSent.Value(), wantMonlist)
+			}
+			if m.Mode6Sent.Value() != wantMode6 {
+				t.Errorf("%s ttl %d: Mode6Sent metric %d, want %d", name, ttl, m.Mode6Sent.Value(), wantMode6)
 			}
 		}
 	}

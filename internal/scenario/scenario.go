@@ -452,10 +452,15 @@ func Build(cfg Config) *World {
 	merit := db.ByName(asdb.NameMerit)
 	csu := db.ByName(asdb.NameCSU)
 	frgp := db.ByName(asdb.NameFRGP)
-	w.Views["Merit"] = ispview.New("Merit", db, merit)
-	w.Views["CSU"] = ispview.New("CSU", db, csu)
-	w.Views["FRGP"] = ispview.New("FRGP", db, frgp, csu)
-	for _, v := range w.Views {
+	// Views attach in a fixed order, not map order, so tap fan-out (and any
+	// future tap sharing state across views) is the same on every run.
+	views := []*ispview.View{
+		ispview.New("Merit", db, merit),
+		ispview.New("CSU", db, csu),
+		ispview.New("FRGP", db, frgp, csu),
+	}
+	for _, v := range views {
+		w.Views[v.Name] = v
 		nw.AddTap(v)
 	}
 
@@ -466,7 +471,7 @@ func Build(cfg Config) *World {
 		w.scanM = scan.NewMetrics(cfg.Metrics)
 		w.Collector.SetMetrics(telemetry.NewMetrics(cfg.Metrics))
 		vm := ispview.NewMetrics(cfg.Metrics)
-		for _, v := range w.Views {
+		for _, v := range views {
 			v.SetMetrics(vm)
 		}
 	}

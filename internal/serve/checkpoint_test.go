@@ -173,3 +173,23 @@ func TestDrainKeepsCheckpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitResponseReportsAdmittedState pins the admission/dispatch race
+// behind TestCheckpointLifecycle's flake: a worker that dequeues and starts
+// the job before the submit handler renders its response must not change
+// what the response says. The Log hook holds the handler at the "admitted"
+// line until the gated runner has been entered, so the job is already
+// running when the response is written.
+func TestSubmitResponseReportsAdmittedState(t *testing.T) {
+	gate := newGateRunner()
+	e := newEnv(t, Config{Runner: gate.run, Log: func(format string, _ ...any) {
+		if strings.HasPrefix(format, "job %s admitted") {
+			<-gate.entered
+		}
+	}})
+	t.Cleanup(func() { close(gate.release) }) // runs before newEnv's Drain
+	st := e.submitOK(t, `{"seeds":"1"}`)
+	if got := e.status(t, st.ID).State; got != StateRunning {
+		t.Fatalf("job state after the runner was entered = %s, want running", got)
+	}
+}

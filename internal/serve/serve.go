@@ -272,9 +272,9 @@ func (d *Daemon) cancelRunning() {
 	}
 }
 
-// submit admits a compiled job. It returns the queued job, or an
-// admissionError describing the refusal.
-func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (*job, *admissionError) {
+// submit admits a compiled job. It returns the job's status as admitted
+// (queued), or an admissionError describing the refusal.
+func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (JobStatus, *admissionError) {
 	workers := spec.Workers
 	if workers <= 0 || workers > d.cfg.Workers {
 		workers = d.cfg.Workers
@@ -282,7 +282,7 @@ func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (*job, *a
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.draining {
-		return nil, &admissionError{
+		return JobStatus{}, &admissionError{
 			status: http.StatusServiceUnavailable,
 			reason: "draining",
 			msg:    "daemon is draining; resubmit elsewhere",
@@ -290,11 +290,14 @@ func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (*job, *a
 	}
 	j := d.store.add(client, spec, jobs, workers, d.cfg.now())
 	d.openJobCheckpoint(j)
+	// Snapshot before the queue hands the job to a worker, which may start
+	// it before the caller renders the response.
+	st := d.store.status(j)
 	select {
 	case d.queue <- j:
 		d.met.jobsSubmitted.Inc()
 		d.logf("job %s admitted: client=%s jobs=%d workers=%d", j.id, client, len(jobs), workers)
-		return j, nil
+		return st, nil
 	default:
 		// Queue saturated: undo the store registration and shed load.
 		if j.ckpt != nil {
@@ -303,7 +306,7 @@ func (d *Daemon) submit(client string, spec JobSpec, jobs []sweep.Job) (*job, *a
 		}
 		d.store.drop(j)
 		retry := d.retryAfterLocked()
-		return nil, &admissionError{
+		return JobStatus{}, &admissionError{
 			status:     http.StatusTooManyRequests,
 			reason:     "saturated",
 			msg:        fmt.Sprintf("job queue full (%d deep)", d.cfg.QueueDepth),

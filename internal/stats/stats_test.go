@@ -197,6 +197,89 @@ func TestHistogramModeEmptyAndTies(t *testing.T) {
 	}
 }
 
+// TestHistogramCacheMatchesMap checks the last-value write-back cache
+// against a plain map: random Adds (runs of one value, n = 0 included) are
+// interleaved with every read, and each read must agree with the map's
+// answer — Count, Total, Mode, and TopK (same length and bins, zero-count
+// values included).
+func TestHistogramCacheMatchesMap(t *testing.T) {
+	for seed := uint64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewPCG(seed, 9))
+		h := NewHistogram()
+		ref := map[int]int64{}
+		var total int64
+		value := 0
+		for step := 0; step < 400; step++ {
+			if r.IntN(3) == 0 { // otherwise stay on the same value: a run
+				value = r.IntN(12)
+			}
+			n := int64(r.IntN(4)) // 0 adds a value with a zero count
+			h.Add(value, n)
+			ref[value] += n
+			total += n
+
+			switch r.IntN(5) {
+			case 0:
+				v := r.IntN(14)
+				if got := h.Count(v); got != ref[v] {
+					t.Fatalf("seed %d step %d: Count(%d) = %d, want %d", seed, step, v, got, ref[v])
+				}
+			case 1:
+				if h.Total() != total {
+					t.Fatalf("seed %d step %d: Total = %d, want %d", seed, step, h.Total(), total)
+				}
+			case 2:
+				v, c, ok := h.Mode()
+				wv, wc, wok := refMode(ref, total)
+				if v != wv || c != wc || ok != wok {
+					t.Fatalf("seed %d step %d: Mode = %d/%d/%v, want %d/%d/%v", seed, step, v, c, ok, wv, wc, wok)
+				}
+			case 3:
+				k := r.IntN(16)
+				got, want := h.TopK(k), refTopK(ref, total, k)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d: TopK(%d) has %d bins, want %d", seed, step, k, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d step %d: TopK(%d)[%d] = %+v, want %+v", seed, step, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func refMode(ref map[int]int64, total int64) (value int, count int64, ok bool) {
+	if total == 0 {
+		return 0, 0, false
+	}
+	for v, c := range ref {
+		if !ok || c > count || (c == count && v < value) {
+			value, count, ok = v, c, true
+		}
+	}
+	return value, count, ok
+}
+
+func refTopK(ref map[int]int64, total int64, k int) []Bin {
+	var bins []Bin
+	for v, c := range ref {
+		f := 0.0
+		if total > 0 {
+			f = float64(c) / float64(total)
+		}
+		bins = append(bins, Bin{Value: v, Count: c, Fraction: f})
+	}
+	sort.Slice(bins, func(i, j int) bool {
+		if bins[i].Count != bins[j].Count {
+			return bins[i].Count > bins[j].Count
+		}
+		return bins[i].Value < bins[j].Value
+	})
+	return bins[:min(k, len(bins))]
+}
+
 func TestTopKOrderingProperty(t *testing.T) {
 	f := func(seed uint32) bool {
 		r := rand.New(rand.NewPCG(uint64(seed), 5))

@@ -51,6 +51,7 @@ func Diff(a, b Trace) int {
 func Replay(mk func(*vtime.Clock) *vtime.Scheduler, program []byte) Trace {
 	var clock vtime.Clock
 	it := &interp{sched: mk(&clock), clock: &clock, prog: program}
+	it.sink = [2]*batchSink{{it: it, name: "a"}, {it: it, name: "b"}}
 	for it.pc < len(it.prog) {
 		it.step()
 	}
@@ -67,6 +68,7 @@ type interp struct {
 	pc     int
 	nextID int
 	trace  Trace
+	sink   [2]*batchSink // the two batch sinks op 4 alternates between
 }
 
 func (it *interp) emit(format string, args ...any) {
@@ -151,23 +153,48 @@ func (it *interp) scheduleEvery() {
 	})
 }
 
-// scheduleBatch enqueues an item for coalesced delivery. The interpreter is
-// its own BatchSink, so consecutive same-instant items land in one RunBatch —
-// and any implementation that coalesces across an intervening non-batch event
-// (illegally reordering it) shows up as a trace diff.
+// scheduleBatch enqueues an item for coalesced delivery d after now. The
+// interpreter owns two batch sinks (the low bit of one program byte picks
+// one), so consecutive same-instant items land in one RunBatch only while the
+// sink stays the same — and any implementation that coalesces across an
+// intervening non-batch event or a sink switch (illegally reordering it)
+// shows up as a trace diff.
 func (it *interp) scheduleBatch() {
+	d := it.delta()
+	it.batchTo(it.sink[it.next()&1], d)
+}
+
+func (it *interp) batchTo(sink *batchSink, d time.Duration) {
 	id := it.nextID
 	it.nextID++
-	at := it.clock.Now().Add(it.delta())
-	it.sched.AtBatch(at, it, id)
+	it.sched.AfterBatch(d, sink, id)
+}
+
+// batchSink is one vtime.BatchSink of the interpreter. After recording a
+// delivered batch it may append to a batch at its own instant — with
+// AfterBatch(0) from inside RunBatch, on its own or the other sink — which
+// must open a fresh batch behind the one firing.
+type batchSink struct {
+	it   *interp
+	name string
 }
 
 // RunBatch implements vtime.BatchSink.
-func (it *interp) RunBatch(now time.Time, items []any) {
+func (s *batchSink) RunBatch(now time.Time, items []any) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "batch @%d", now.UnixNano())
+	fmt.Fprintf(&b, "batch %s @%d", s.name, now.UnixNano())
 	for _, x := range items {
 		fmt.Fprintf(&b, " %d", x.(int))
 	}
+	it := s.it
 	it.trace = append(it.trace, b.String())
+	// An exhausted program reads zero, which schedules nothing, so the
+	// re-entrant chain always ends.
+	switch it.next() % 4 {
+	case 1:
+		it.batchTo(s, 0)
+	case 2:
+		it.batchTo(it.sink[0], 0)
+		it.batchTo(it.sink[1], 0)
+	}
 }

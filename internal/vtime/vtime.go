@@ -87,7 +87,7 @@ type event struct {
 	interval time.Duration
 	end      time.Time
 
-	// Batch (AtBatch) state: sink non-nil marks a coalesced delivery event
+	// Batch (AfterBatch) state: sink non-nil marks a coalesced delivery event
 	// carrying items appended by the scheduler's open-batch table.
 	sink  BatchSink
 	items []any
@@ -113,7 +113,7 @@ type queue interface {
 }
 
 // BatchSink receives a coalesced batch of same-instant items scheduled with
-// AtBatch. Items are passed in append order; the slice is owned by the
+// AfterBatch. Items are passed in append order; the slice is owned by the
 // scheduler and must not be retained after RunBatch returns.
 type BatchSink interface {
 	RunBatch(now time.Time, items []any)
@@ -141,6 +141,10 @@ type Scheduler struct {
 	// instant can interleave with the batch, so a later append must not
 	// jump ahead of them.
 	open map[int64]*event
+	// last memoizes the most recently appended-to open batch: a fragment
+	// train appends every fragment to the same instant, so the map lookup
+	// runs once per train. It is cleared wherever its open entry is.
+	last *event
 
 	// free lists for event structs and batch item slices.
 	pool     []*event
@@ -227,7 +231,7 @@ func (s *Scheduler) release(e *event) {
 // closes an open batch at the same instant (see the open field).
 func (s *Scheduler) push(e *event) {
 	if e.sink == nil && len(s.open) > 0 {
-		delete(s.open, e.atNs)
+		s.closeBatch(e.atNs)
 	}
 	s.seq++
 	e.seq = s.seq
@@ -284,27 +288,37 @@ func (s *Scheduler) Every(start time.Time, interval time.Duration, end time.Time
 	s.push(e)
 }
 
-// AtBatch schedules item for delivery to sink at instant t. Consecutive
-// same-instant calls with the same sink coalesce into one scheduler event
-// whose RunBatch receives every item in append order; scheduling any other
-// event at the same instant closes the batch, so coalescing never reorders
-// execution relative to one-event-per-item scheduling.
-func (s *Scheduler) AtBatch(t time.Time, sink BatchSink, item any) {
-	if t.Before(s.clock.Now()) {
-		panic(fmt.Sprintf("vtime: scheduling at %v, before now %v", t, s.clock.Now()))
+// AfterBatch schedules item for delivery to sink d after the current
+// instant. Consecutive same-instant calls with the same sink coalesce into
+// one scheduler event whose RunBatch receives every item in append order;
+// scheduling any other event at the same instant closes the batch, so
+// coalescing never reorders execution relative to one-event-per-item
+// scheduling.
+//
+// The arrival instant is computed in integer nanoseconds from the clock
+// offset; the time.Time a batch fires with is built only when a new batch
+// event opens.
+func (s *Scheduler) AfterBatch(d time.Duration, sink BatchSink, item any) {
+	if d < 0 {
+		panic(fmt.Sprintf("vtime: scheduling at %v, before now %v", s.clock.Now().Add(d), s.clock.Now()))
 	}
-	atNs := int64(t.Sub(Epoch))
-	if e, ok := s.open[atNs]; ok {
+	atNs := int64(s.clock.offset + d)
+	e := s.last
+	if e == nil || e.atNs != atNs {
+		e = s.open[atNs]
+	}
+	if e != nil {
 		if e.sink == sink {
 			e.items = append(e.items, item)
+			s.last = e
 			return
 		}
 		// A different sink at the same instant: close the old batch so the
 		// new one's items stay behind it in schedule order.
-		delete(s.open, atNs)
+		s.closeBatch(atNs)
 	}
-	e := s.alloc()
-	e.at = t
+	e = s.alloc()
+	e.at = Epoch.Add(time.Duration(atNs))
 	e.atNs = atNs
 	e.sink = sink
 	if n := len(s.itemPool); n > 0 {
@@ -313,7 +327,16 @@ func (s *Scheduler) AtBatch(t time.Time, sink BatchSink, item any) {
 	}
 	e.items = append(e.items, item)
 	s.open[atNs] = e
+	s.last = e
 	s.push(e)
+}
+
+// closeBatch stops the open batch at atNs (if any) from accepting appends.
+func (s *Scheduler) closeBatch(atNs int64) {
+	delete(s.open, atNs)
+	if s.last != nil && s.last.atNs == atNs {
+		s.last = nil
+	}
 }
 
 // Pending reports the number of events waiting to run. A coalesced batch
@@ -337,7 +360,7 @@ func (s *Scheduler) runEvent(e *event) {
 		// Close the batch before running: the sink may schedule new work at
 		// this same instant, which must open a fresh batch behind it.
 		if s.open[e.atNs] == e {
-			delete(s.open, e.atNs)
+			s.closeBatch(e.atNs)
 		}
 		e.sink.RunBatch(e.at, e.items)
 		s.release(e)

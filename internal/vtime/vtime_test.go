@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -170,5 +171,92 @@ func TestDrainAdvancesClock(t *testing.T) {
 	s.Drain()
 	if !c.Now().Equal(last) {
 		t.Fatalf("after Drain clock reads %v, want %v", c.Now(), last)
+	}
+}
+
+// batchLog is a BatchSink recording each delivered batch.
+type batchLog struct {
+	nows  []time.Time
+	items [][]any
+	// onRun, when set, runs inside RunBatch after the batch is recorded.
+	onRun func()
+}
+
+func (b *batchLog) RunBatch(now time.Time, items []any) {
+	b.nows = append(b.nows, now)
+	b.items = append(b.items, append([]any(nil), items...))
+	if b.onRun != nil {
+		b.onRun()
+	}
+}
+
+func TestAfterBatchFiresAtOffsetPlusD(t *testing.T) {
+	var c Clock
+	c.Advance(90*time.Minute + 7*time.Nanosecond)
+	s := NewScheduler(&c)
+	var sink batchLog
+	for i, d := range []time.Duration{0, 1, 40 * time.Millisecond, 40 * time.Millisecond, 3 * time.Hour} {
+		s.AfterBatch(d, &sink, i)
+	}
+	s.Drain()
+	offsets := []time.Duration{0, 1, 40 * time.Millisecond, 3 * time.Hour}
+	if len(sink.nows) != len(offsets) {
+		t.Fatalf("%d batches fired, want %d: %v", len(sink.nows), len(offsets), sink.items)
+	}
+	for i, d := range offsets {
+		want := Epoch.Add(90*time.Minute + 7*time.Nanosecond + d)
+		if sink.nows[i] != want {
+			t.Errorf("batch %d fired at %v, want Epoch+offset+d = %v", i, sink.nows[i], want)
+		}
+	}
+	if got := len(sink.items[2]); got != 2 {
+		t.Errorf("same-instant items coalesced into %d-item batch, want 2", got)
+	}
+}
+
+func TestAfterBatchNegativePanics(t *testing.T) {
+	var c Clock
+	s := NewScheduler(&c)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AfterBatch(-1) did not panic")
+		}
+	}()
+	s.AfterBatch(-1, &batchLog{}, 0)
+}
+
+// TestAfterBatchClosesOnSameInstantEvent checks the open-batch memo is
+// cleared by a same-instant At: the append after it opens a new batch that
+// fires behind the At.
+func TestAfterBatchClosesOnSameInstantEvent(t *testing.T) {
+	var c Clock
+	s := NewScheduler(&c)
+	var order []any
+	sink := &batchLog{}
+	sink.onRun = func() { order = append(order, sink.items[len(sink.items)-1]...) }
+	s.AfterBatch(time.Second, sink, 1)
+	s.At(Epoch.Add(time.Second), func(time.Time) { order = append(order, "at") })
+	s.AfterBatch(time.Second, sink, 2)
+	s.Drain()
+	if got := fmt.Sprint(order); got != "[1 at 2]" {
+		t.Fatalf("delivery order %s, want [1 at 2]", got)
+	}
+}
+
+// TestAfterBatchFromRunBatchOpensFreshBatch checks a sink appending at its
+// own instant gets a new batch after the firing one, not the recycled one.
+func TestAfterBatchFromRunBatchOpensFreshBatch(t *testing.T) {
+	var c Clock
+	s := NewScheduler(&c)
+	var sink batchLog
+	sink.onRun = func() {
+		if len(sink.nows) == 1 {
+			s.AfterBatch(0, &sink, "again")
+		}
+	}
+	s.AfterBatch(time.Millisecond, &sink, "first")
+	s.Drain()
+	if fmt.Sprint(sink.items) != "[[first] [again]]" || sink.nows[0] != sink.nows[1] {
+		t.Fatalf("batches %v at %v, want [[first] [again]] at one instant", sink.items, sink.nows)
 	}
 }
