@@ -177,11 +177,19 @@ func (s *Simulation) Table2() *Table {
 	return t
 }
 
+// noSurveyNote explains an empty table whose source is the last monlist
+// survey, for a window that ends before the first one (2014-01-10).
+const noSurveyNote = "no monlist survey in this window: it ends before the first ONP survey"
+
 // Table3 renders example monitor tables from a real amplifier of the final
 // sample — the Table 3 illustration of probe, client and victim entries.
 func (s *Simulation) Table3() *Table {
 	t := &Table{ID: "table3", Title: "Example monlist table entries (Table 3)",
 		Headers: []string{"amplifier", "address", "src_port", "count", "mode", "interarrival", "last_seen", "class"}}
+	if len(s.res.MonlistAnalyses) == 0 {
+		t.AddNote(noSurveyNote)
+		return t
+	}
 	last := s.res.MonlistAnalyses[len(s.res.MonlistAnalyses)-1]
 	probeAddr := s.res.World.ONPAddr
 	shown := 0
@@ -620,6 +628,10 @@ func (s *Simulation) RemediationReport() *Table {
 func (s *Simulation) DNSOverlapReport() *Table {
 	t := &Table{ID: "dnsoverlap", Title: "Monlist / open-DNS-resolver pool overlap (§6.2)",
 		Headers: []string{"metric", "value", "paper"}}
+	if len(s.res.MonlistPools) == 0 {
+		t.AddNote(noSurveyNote)
+		return t
+	}
 	lastPool := s.res.MonlistPools[len(s.res.MonlistPools)-1]
 	curN, curF := core.PoolOverlap(lastPool, s.res.World.DNSPool)
 	t.AddRow("current overlap", fmt.Sprintf("%s (%.1f%%)", report.Count(curN, s.Scale()), curF*100), "~7K of 107K")

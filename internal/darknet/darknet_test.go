@@ -135,14 +135,24 @@ func TestScannerSeriesDaily(t *testing.T) {
 	if len(pts) != 2 || pts[0].Value != 2 || pts[1].Value != 1 {
 		t.Fatalf("scanner series = %+v", pts)
 	}
-	if s.UniqueScanners().Len() != 3 {
-		t.Fatalf("unique scanners = %d", s.UniqueScanners().Len())
-	}
 }
 
-func TestIPv6TelescopeFindsNothing(t *testing.T) {
-	var v6 IPv6Telescope
-	if v6.NTPScanEvidence() {
-		t.Fatal("IPv6 darknet must report no broad NTP scanning (§5.1)")
+// TestObserveSteadyStateAllocs is the tap's allocation wall: once a
+// source has been seen probing on a day, observing the same NTP probe
+// again allocates nothing.
+func TestObserveSteadyStateAllocs(t *testing.T) {
+	s := newScope()
+	var dst netaddr.Addr
+	for i := 0; ; i++ {
+		dst = netaddr.Addr(35<<24|uint32(i)<<8) + 7
+		if s.Covers(dst) {
+			break
+		}
+	}
+	dg := probe(netaddr.MustParseAddr("198.51.100.5"), dst, 123, 1)
+	now := vtime.Epoch.Add(100 * 24 * time.Hour)
+	s.Observe(dg, now)
+	if n := testing.AllocsPerRun(1000, func() { s.Observe(dg, now) }); n != 0 {
+		t.Fatalf("Observe allocated %.1f times per probe, want 0", n)
 	}
 }

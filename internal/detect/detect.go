@@ -1,11 +1,10 @@
 // Package detect is the streaming detection plane: the online counterpart of
-// internal/core's post-hoc victim classifier. It consumes the same event
-// streams the offline pipeline uses — fabric tap datagrams, NetFlow v5
-// collector records, and honeypot/darknet sensor sightings — and maintains,
-// in bounded memory over internal/sketch structures:
+// internal/core's post-hoc victim classifier. It consumes fabric tap
+// datagrams (optionally 1-in-N sampled, see Vantage), polled monitor-table
+// entries and darknet scanner sightings, and maintains, in bounded memory
+// over internal/sketch structures:
 //
-//   - per-window heavy-hitter victims by reflected on-wire bytes
-//     (exponential-decay Count-Min + SpaceSaving top-k),
+//   - heavy-hitter victims by reflected on-wire bytes (SpaceSaving top-k),
 //   - an amplifier top-k by emitted bytes (SpaceSaving),
 //   - the unique-scanner cardinality (HyperLogLog — §5's darknet count,
 //     computed from the attack-facing vantage instead),
@@ -82,13 +81,8 @@ type Config struct {
 
 	// TopK sizes the victim and amplifier SpaceSaving summaries.
 	TopK int
-	// CMSEpsilon/CMSDelta dimension the victim-bytes Count-Min sketch.
-	CMSEpsilon float64
-	CMSDelta   float64
 	// HLLPrecision sizes the scanner-cardinality HyperLogLog.
 	HLLPrecision uint8
-	// WindowHalfLife is the sliding-window decay for the heavy-hitter view.
-	WindowHalfLife time.Duration
 
 	// The paper's §4.2 victim thresholds, applied online.
 	MinCount           int64
@@ -110,10 +104,7 @@ func DefaultConfig() Config {
 	return Config{
 		Seed:               1,
 		TopK:               64,
-		CMSEpsilon:         0.001,
-		CMSDelta:           0.01,
 		HLLPrecision:       12,
-		WindowHalfLife:     time.Hour,
 		MinCount:           3,                  // §4.2: at least 3 packets
 		MaxAvgInterarrival: 3600 * time.Second, // §4.2: more than one packet/hour
 		RateHalfLife:       10 * time.Minute,
@@ -203,14 +194,13 @@ const (
 )
 
 // Detector is the streaming detection plane. It implements netsim.Tap; the
-// NetFlow and sensor-event paths feed the same state.
+// monitor-table and scanner-sighting paths feed the same state.
 type Detector struct {
 	cfg Config
 
-	victimBytes *sketch.DecayCMS
-	victimTop   *sketch.SpaceSaving
-	ampTop      *sketch.SpaceSaving
-	scannerHLL  *sketch.HLL
+	victimTop  *sketch.SpaceSaving
+	ampTop     *sketch.SpaceSaving
+	scannerHLL *sketch.HLL
 
 	victims  map[netaddr.Addr]*victimState
 	scanners netaddr.Set
@@ -226,12 +216,10 @@ type Detector struct {
 	// lanes is the per-protocol breakdown of the totals above.
 	lanes [numLanes]laneStats
 
-	// Degraded-vantage state: the outage-schedule hash salt, the systematic
-	// sampling phase accumulator, and the export-sequence dedup cursor.
+	// Degraded-vantage state: the outage-schedule hash salt and the
+	// systematic sampling phase accumulator.
 	vantSalt    uint64
 	samplePhase int64
-	seqExpected uint32
-	seqStarted  bool
 
 	m *Metrics
 }
@@ -255,14 +243,13 @@ func New(cfg Config) *Detector {
 		panic(fmt.Sprintf("detect: TopK %d < 1", cfg.TopK))
 	}
 	return &Detector{
-		cfg:         cfg,
-		victimBytes: sketch.NewDecayCMS(cfg.CMSEpsilon, cfg.CMSDelta, cfg.WindowHalfLife, cfg.Seed),
-		victimTop:   sketch.NewSpaceSaving(cfg.TopK),
-		ampTop:      sketch.NewSpaceSaving(cfg.TopK),
-		scannerHLL:  sketch.NewHLL(cfg.HLLPrecision, cfg.Seed),
-		victims:     make(map[netaddr.Addr]*victimState),
-		scanners:    netaddr.NewSet(0),
-		vantSalt:    vantMix(cfg.Seed ^ 0xd6e8feb86659fd93),
+		cfg:        cfg,
+		victimTop:  sketch.NewSpaceSaving(cfg.TopK),
+		ampTop:     sketch.NewSpaceSaving(cfg.TopK),
+		scannerHLL: sketch.NewHLL(cfg.HLLPrecision, cfg.Seed),
+		victims:    make(map[netaddr.Addr]*victimState),
+		scanners:   netaddr.NewSet(0),
+		vantSalt:   vantMix(cfg.Seed ^ 0xd6e8feb86659fd93),
 	}
 }
 
@@ -425,7 +412,6 @@ func (d *Detector) ingestResponse(lane Lane, amp, victim netaddr.Addr, victimPor
 	}
 	d.reflected += nbytes
 	d.lanes[lane].reflected += nbytes
-	d.victimBytes.Add(uint64(victim), float64(nbytes), now)
 	d.victimTop.Add(uint64(victim), nbytes)
 	d.ampTop.Add(uint64(amp), nbytes)
 
@@ -622,15 +608,6 @@ func (d *Detector) TopVictims(n int) []HeavyHitter { return topEntries(d.victimT
 
 // TopAmplifiers returns the n heaviest amplifiers by emitted bytes.
 func (d *Detector) TopAmplifiers(n int) []HeavyHitter { return topEntries(d.ampTop, n) }
-
-// VictimWindowBytes returns the decayed (sliding-window) reflected-byte
-// estimate for one victim as of now.
-func (d *Detector) VictimWindowBytes(victim netaddr.Addr, now time.Time) float64 {
-	return d.victimBytes.Estimate(uint64(victim), now)
-}
-
-// ScannerCardinality returns the HLL estimate of distinct probing sources.
-func (d *Detector) ScannerCardinality() float64 { return d.scannerHLL.Estimate() }
 
 // ScannersMarked returns the exact count of suppressed prober addresses.
 func (d *Detector) ScannersMarked() int { return d.scanners.Len() }

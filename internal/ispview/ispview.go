@@ -71,22 +71,10 @@ type AmpStats struct {
 	PayloadOut int64
 	WireOut    int64
 	Victims    netaddr.Set
-	perVictim  map[netaddr.Addr]*pairStats
-
-	// Attack traffic arrives in long same-victim runs; remembering the last
-	// pair looked up skips the map (and the Victims set insert — a cache hit
-	// proves membership). Entries are never removed, so the pointer cannot
-	// go stale.
-	lastVictim netaddr.Addr
-	lastPair   *pairStats
-}
-
-type pairStats struct {
-	payloadOut int64
-	wireOut    int64
-	packets    int64
-	first      time.Time
-	last       time.Time
+	// lastVictim short-circuits Victims.Add for the same-victim runs attack
+	// reflection produces.
+	lastVictim   netaddr.Addr
+	lastVictimOK bool
 }
 
 // BAF returns the amplifier's payload amplification ratio.
@@ -112,7 +100,6 @@ type VictimStats struct {
 	lastAmpOK bool
 	First     time.Time
 	Last      time.Time
-	Ports     *stats.Histogram
 	// Hourly is the victim's received on-wire volume per hour — one line of
 	// Figure 13's stacked top-victims chart.
 	Hourly *stats.TimeSeries
@@ -135,9 +122,6 @@ func (v *VictimStats) DurationHours() float64 {
 type ScannerStats struct {
 	Addr    netaddr.Addr
 	Packets int64
-	Dsts    netaddr.Set
-	First   time.Time
-	Last    time.Time
 }
 
 // View is one regional network's tap. It implements netsim.Tap.
@@ -328,13 +312,10 @@ func (v *View) Observe(dg *packet.Datagram, now time.Time) {
 			amp := v.amp(dg.IP.Src)
 			amp.PayloadOut += payload
 			amp.WireOut += wire
-			// pair() maintains amp.Victims: the set gains the victim exactly
-			// when the perVictim entry is created.
-			ps := amp.pair(dg.IP.Dst, now)
-			ps.payloadOut += payload
-			ps.wireOut += wire
-			ps.packets += rep
-			ps.last = now
+			if !amp.lastVictimOK || amp.lastVictim != dg.IP.Dst {
+				amp.Victims.Add(dg.IP.Dst)
+				amp.lastVictim, amp.lastVictimOK = dg.IP.Dst, true
+			}
 
 			vic := v.victim(dg.IP.Dst, now)
 			vic.PayloadIn += payload
@@ -345,7 +326,6 @@ func (v *View) Observe(dg *packet.Datagram, now time.Time) {
 				vic.lastAmp, vic.lastAmpOK = dg.IP.Src, true
 			}
 			vic.Last = now
-			vic.Ports.Add(int(dg.UDP.DstPort), rep)
 			vic.Hourly.Add(now, float64(wire))
 		}
 	}
@@ -370,13 +350,11 @@ func (v *View) Observe(dg *packet.Datagram, now time.Time) {
 					v.ScanTTL.Add(int(dg.IP.TTL), rep)
 					sc, ok := v.scanners[dg.IP.Src]
 					if !ok {
-						sc = &ScannerStats{Addr: dg.IP.Src, Dsts: netaddr.NewSet(0), First: now}
+						sc = &ScannerStats{Addr: dg.IP.Src}
 						v.scanners[dg.IP.Src] = sc
 						v.mScanners.SetInt(int64(len(v.scanners)))
 					}
 					sc.Packets += rep
-					sc.Dsts.Add(dg.IP.Dst)
-					sc.Last = now
 				}
 			}
 		}
@@ -389,26 +367,12 @@ func (v *View) amp(a netaddr.Addr) *AmpStats {
 	}
 	s, ok := v.amps[a]
 	if !ok {
-		s = &AmpStats{Addr: a, Victims: netaddr.NewSet(0), perVictim: make(map[netaddr.Addr]*pairStats)}
+		s = &AmpStats{Addr: a, Victims: netaddr.NewSet(0)}
 		v.amps[a] = s
 		v.mAmps.SetInt(int64(len(v.amps)))
 	}
 	v.lastAmpAddr, v.lastAmp = a, s
 	return s
-}
-
-func (a *AmpStats) pair(victim netaddr.Addr, now time.Time) *pairStats {
-	if a.lastPair != nil && a.lastVictim == victim {
-		return a.lastPair
-	}
-	p, ok := a.perVictim[victim]
-	if !ok {
-		p = &pairStats{first: now, last: now}
-		a.perVictim[victim] = p
-		a.Victims.Add(victim)
-	}
-	a.lastVictim, a.lastPair = victim, p
-	return p
 }
 
 func (v *View) victim(a netaddr.Addr, now time.Time) *VictimStats {
@@ -418,7 +382,7 @@ func (v *View) victim(a netaddr.Addr, now time.Time) *VictimStats {
 	s, ok := v.victims[a]
 	if !ok {
 		s = &VictimStats{Addr: a, Amplifiers: netaddr.NewSet(0), First: now, Last: now,
-			Ports: stats.NewHistogram(), Hourly: stats.NewTimeSeries(vtime.Epoch, time.Hour)}
+			Hourly: stats.NewTimeSeries(vtime.Epoch, time.Hour)}
 		v.victims[a] = s
 		v.mVictims.SetInt(int64(len(v.victims)))
 	}
@@ -513,18 +477,4 @@ func (v *View) Billed95(from, to time.Time) float64 {
 		}
 	}
 	return stats.Percentile95(samples)
-}
-
-// PairSeries returns the hourly on-wire volume an amplifier sent one victim
-// — the per-victim stacked lines of Figure 13 are sums of these.
-func (v *View) PairVolume(amp, victim netaddr.Addr) (payloadOut, wireOut, packets int64) {
-	a, ok := v.amps[amp]
-	if !ok {
-		return 0, 0, 0
-	}
-	p, ok := a.perVictim[victim]
-	if !ok {
-		return 0, 0, 0
-	}
-	return p.payloadOut, p.wireOut, p.packets
 }

@@ -98,9 +98,6 @@ func TestAttackProducesVictimAndAmplifier(t *testing.T) {
 	if v.BAF() < VictimMinRatio {
 		t.Fatalf("victim BAF = %.1f", v.BAF())
 	}
-	if top := v.Ports.TopK(1); len(top) == 0 || top[0].Value != 80 {
-		t.Fatalf("victim ports = %+v", top)
-	}
 	if v.DurationHours() < 1 {
 		t.Fatalf("attack duration = %.2f h", v.DurationHours())
 	}
@@ -207,15 +204,50 @@ func TestAddBaselineAndProtoMix(t *testing.T) {
 	}
 }
 
+// TestPairVolume feeds one amplifier's egress to victims A, B, A, C — a
+// return to an earlier victim after the last-victim memo moved on — and
+// checks the amplifier's victim set and volume totals by hand: 440-byte
+// responses are 506 bytes on the wire (see TestObserveAlternatingPairs).
 func TestPairVolume(t *testing.T) {
-	f := newFixture(t)
-	f.runAttack(1000, time.Hour, 100)
-	payload, wire, packets := f.view.PairVolume(f.amp.Addr(), f.victim)
-	if payload == 0 || wire <= payload || packets == 0 {
-		t.Fatalf("pair volume = %d/%d/%d", payload, wire, packets)
+	db := asdb.Build(rng.New(11), asdb.Config{NumASes: 50, SpooferFraction: 1})
+	merit := db.ByName(asdb.NameMerit)
+	v := New("Merit", db, merit)
+	in := merit.Prefixes[0].Nth(100)
+	ocn := db.ByName("OCN-JP").Prefixes[0]
+	a, b, c := ocn.Nth(500), ocn.Nth(501), ocn.Nth(502)
+
+	resp := make([]byte, 440)
+	resp[0] = 0x97 // response bit, version 2, mode 7
+	now := vtime.Epoch.Add(3 * time.Hour)
+	for _, step := range []struct {
+		dst netaddr.Addr
+		rep int64
+	}{{a, 2}, {b, 3}, {a, 1}, {c, 4}} {
+		dg := packet.NewDatagram(in, 123, step.dst, 80, resp)
+		dg.Rep = step.rep
+		v.Observe(dg, now)
 	}
-	if p, _, _ := f.view.PairVolume(f.victim, f.amp.Addr()); p != 0 {
-		t.Fatal("reversed pair must be empty")
+
+	amp := v.amps[in]
+	if amp == nil {
+		t.Fatal("amplifier not tracked")
+	}
+	if n := amp.Victims.Len(); n != 3 {
+		t.Errorf("amplifier victims = %d, want 3", n)
+	}
+	for _, want := range []netaddr.Addr{a, b, c} {
+		if !amp.Victims.Has(want) {
+			t.Errorf("amplifier victim set missing %v", want)
+		}
+	}
+	if amp.PayloadOut != 10*440 || amp.WireOut != 10*506 {
+		t.Errorf("amplifier out = %d payload / %d wire bytes, want 4400 / 5060", amp.PayloadOut, amp.WireOut)
+	}
+	if got := v.victims[a]; got == nil || got.PayloadIn != 3*440 || got.WireIn != 3*506 || got.Packets != 3 {
+		t.Errorf("victim A = %+v, want 1320 payload / 1518 wire bytes in 3 packets", got)
+	}
+	if _, ok := v.victims[in]; ok {
+		t.Error("the amplifier was tracked as a victim")
 	}
 }
 
@@ -272,12 +304,12 @@ func TestObserveAlternatingPairs(t *testing.T) {
 	if amp == nil || amp.PayloadOut != 10*440 || amp.PayloadIn != 7*48 || amp.WireOut != 10*wireResp {
 		t.Fatalf("amplifier totals = %+v, want payload out 4400, in 336, wire out 5060", amp)
 	}
-	if po, wo, n := v.PairVolume(in, out1); po != 9*440 || wo != 9*wireResp || n != 9 {
-		t.Errorf("pair in→out1 = %d/%d/%d, want 3960/4554/9", po, wo, n)
+	if amp.Victims.Len() != 2 || !amp.Victims.Has(out1) || !amp.Victims.Has(out2) {
+		t.Errorf("amplifier victims = %d, want out1 and out2", amp.Victims.Len())
 	}
 	v1, v2 := v.victims[out1], v.victims[out2]
-	if v1 == nil || v1.PayloadIn != 9*440 || v1.Packets != 9 || v1.TriggerOut != 5*48 {
-		t.Errorf("victim out1 = %+v, want 3960 payload bytes in 9 packets, 240 trigger bytes", v1)
+	if v1 == nil || v1.PayloadIn != 9*440 || v1.WireIn != 9*wireResp || v1.Packets != 9 || v1.TriggerOut != 5*48 {
+		t.Errorf("victim out1 = %+v, want 3960 payload / 4554 wire bytes in 9 packets, 240 trigger bytes", v1)
 	}
 	if v2 == nil || v2.PayloadIn != 440 || v2.Packets != 1 || v2.TriggerOut != 0 {
 		t.Errorf("victim out2 = %+v, want 440 payload bytes in 1 packet, no triggers", v2)
@@ -288,5 +320,23 @@ func TestObserveAlternatingPairs(t *testing.T) {
 	if v.TriggerTTL.Count(109) != 5 || v.ScanTTL.Count(54) != 2 {
 		t.Errorf("TTL histograms: trigger@109 = %d, scan@54 = %d; want 5, 2",
 			v.TriggerTTL.Count(109), v.ScanTTL.Count(54))
+	}
+}
+
+// TestObserveSteadyStateAllocs is the tap's allocation wall: once a
+// site-amplifier→victim pair has been seen, observing another fragment of
+// the same reflection allocates nothing.
+func TestObserveSteadyStateAllocs(t *testing.T) {
+	db := asdb.Build(rng.New(11), asdb.Config{NumASes: 50, SpooferFraction: 1})
+	merit := db.ByName(asdb.NameMerit)
+	v := New("Merit", db, merit)
+	resp := make([]byte, 440)
+	resp[0] = 0x97 // response bit, version 2, mode 7
+	dg := packet.NewDatagram(merit.Prefixes[0].Nth(100), 123, db.ByName("OCN-JP").Prefixes[0].Nth(500), 80, resp)
+	dg.Rep = 3
+	now := vtime.Epoch.Add(3 * time.Hour)
+	v.Observe(dg, now)
+	if n := testing.AllocsPerRun(1000, func() { v.Observe(dg, now) }); n != 0 {
+		t.Fatalf("Observe allocated %.1f times per fragment, want 0", n)
 	}
 }

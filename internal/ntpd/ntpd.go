@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"ntpddos/internal/core"
 	"ntpddos/internal/metrics"
 	"ntpddos/internal/netaddr"
 	"ntpddos/internal/netsim"
@@ -381,7 +380,7 @@ func (s *Server) monlistEntries(now time.Time) []ntp.MonEntry {
 		out = append(out, ntp.MonEntry{
 			Addr:        e.addr,
 			DAddr:       s.cfg.Addr,
-			Count:       uint32(core.Min64(e.count, 1<<32-1)),
+			Count:       uint32(min(e.count, 1<<32-1)),
 			Mode:        e.mode,
 			Version:     e.version,
 			Port:        e.port,

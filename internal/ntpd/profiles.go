@@ -3,7 +3,6 @@ package ntpd
 import (
 	"fmt"
 
-	"ntpddos/internal/core"
 	"ntpddos/internal/rng"
 )
 
@@ -184,13 +183,6 @@ func SampleProfile(src *rng.Source, role Role) Profile {
 		TTL:           ttlFor(system),
 		CompileYear:   year,
 	}
-}
-
-// ExtractCompileYear recovers the compile year from a version banner, the
-// way the paper "extracted the compile time year from all version strings".
-// It forwards to core, where the census that consumes the year lives.
-func ExtractCompileYear(version string) int {
-	return core.ExtractCompileYear(version)
 }
 
 // SystemCatalog returns the Table 2 system strings in canonical order.

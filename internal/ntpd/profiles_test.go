@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ntpddos/internal/core"
 	"ntpddos/internal/rng"
 )
 
@@ -83,16 +84,16 @@ func TestVersionStringCarriesYear(t *testing.T) {
 	src := rng.New(9)
 	for i := 0; i < 1000; i++ {
 		p := SampleProfile(src, RoleAllNTP)
-		if got := ExtractCompileYear(p.VersionString); got != p.CompileYear {
-			t.Fatalf("ExtractCompileYear(%q) = %d, want %d", p.VersionString, got, p.CompileYear)
+		if got := core.ExtractCompileYear(p.VersionString); got != p.CompileYear {
+			t.Fatalf("core.ExtractCompileYear(%q) = %d, want %d", p.VersionString, got, p.CompileYear)
 		}
 	}
 }
 
 func TestExtractCompileYearRejectsGarbage(t *testing.T) {
 	for _, s := range []string{"", "ntpd", "version 9.9.9", "year 3021"} {
-		if ExtractCompileYear(s) != 0 {
-			t.Fatalf("ExtractCompileYear(%q) found a year", s)
+		if core.ExtractCompileYear(s) != 0 {
+			t.Fatalf("core.ExtractCompileYear(%q) found a year", s)
 		}
 	}
 }

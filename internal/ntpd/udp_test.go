@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ntpddos/internal/core"
 	"ntpddos/internal/metrics"
 	"ntpddos/internal/metrics/metricstest"
 	"ntpddos/internal/netaddr"
@@ -128,7 +129,7 @@ func TestRealUDPVersionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := ntp.ParseSystemVariables(text)
-	if v.System != "cisco" || v.Stratum != 16 || ExtractCompileYear(v.Version) != 2006 {
+	if v.System != "cisco" || v.Stratum != 16 || core.ExtractCompileYear(v.Version) != 2006 {
 		t.Fatalf("parsed %+v", v)
 	}
 }

@@ -70,11 +70,6 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.NormFloat64())
 }
 
-// Exponential draws from an exponential distribution with the given mean.
-func (s *Source) Exponential(mean float64) float64 {
-	return s.ExpFloat64() * mean
-}
-
 // Poisson draws from a Poisson distribution with the given mean, using
 // inversion for small means and the normal approximation for large ones.
 func (s *Source) Poisson(mean float64) int {

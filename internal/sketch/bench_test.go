@@ -2,10 +2,8 @@ package sketch
 
 import (
 	"testing"
-	"time"
 
 	"ntpddos/internal/rng"
-	"ntpddos/internal/vtime"
 )
 
 // benchKeys pre-draws a key stream so the benchmarks time the sketch, not
@@ -17,29 +15,6 @@ func benchKeys(n int) []uint64 {
 		keys[i] = uint64(src.IntN(100_000))
 	}
 	return keys
-}
-
-func BenchmarkCMSAdd(b *testing.B) {
-	keys := benchKeys(1 << 16)
-	cms := NewCMS(0.001, 0.01, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cms.Add(keys[i&(len(keys)-1)], 3)
-	}
-}
-
-func BenchmarkCMSEstimate(b *testing.B) {
-	keys := benchKeys(1 << 16)
-	cms := NewCMS(0.001, 0.01, 1)
-	for _, k := range keys {
-		cms.Add(k, 3)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cms.Estimate(keys[i&(len(keys)-1)])
-	}
 }
 
 func BenchmarkHLLAdd(b *testing.B) {
@@ -72,33 +47,5 @@ func BenchmarkSpaceSavingAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ss.Add(keys[i&(len(keys)-1)], 3)
-	}
-}
-
-func BenchmarkDecayCMSAdd(b *testing.B) {
-	keys := benchKeys(1 << 16)
-	d := NewDecayCMS(0.001, 0.01, time.Hour, 1)
-	now := vtime.Epoch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i&1023 == 0 {
-			now = now.Add(time.Second)
-		}
-		d.Add(keys[i&(len(keys)-1)], 3, now)
-	}
-}
-
-func BenchmarkDecayCMSEstimate(b *testing.B) {
-	keys := benchKeys(1 << 16)
-	d := NewDecayCMS(0.001, 0.01, time.Hour, 1)
-	now := vtime.Epoch
-	for _, k := range keys {
-		d.Add(k, 3, now)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Estimate(keys[i&(len(keys)-1)], now)
 	}
 }

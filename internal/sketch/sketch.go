@@ -1,22 +1,18 @@
 // Package sketch provides the deterministic, seedable probabilistic data
-// structures behind the streaming detection plane (internal/detect): a
-// Count-Min sketch with conservative update, a dense mergeable HyperLogLog,
-// a SpaceSaving top-k summary, and an exponential-decay sliding-window
-// wrapper driven by virtual time.
+// structures behind the streaming detection plane (internal/detect): a dense
+// mergeable HyperLogLog and a SpaceSaving top-k summary.
 //
 // The paper's analyses are post-hoc passes over complete captures; a
 // collector watching the February 2014 flood online cannot afford that. Each
 // structure here answers one of the paper's questions in bounded memory:
-// "who is being reflected at?" (Count-Min + SpaceSaving over victim bytes),
-// "which amplifiers dominate?" (SpaceSaving), "how many distinct scanners?"
-// (HyperLogLog, §5's unique-scanner counts), "what is happening *now*?"
-// (exponential decay as the sliding window).
+// "who is being reflected at?" and "which amplifiers dominate?"
+// (SpaceSaving over victim and amplifier bytes), "how many distinct
+// scanners?" (HyperLogLog, §5's unique-scanner counts).
 //
 // Every structure is seeded explicitly and never reads the wall clock, so a
 // detector built on them is as reproducible as the simulation itself. Each
-// has an exact-counting twin (ExactCount, ExactDistinct, ExactTopK,
-// ExactDecay) used by the property tests to assert the published error
-// bounds rather than assume them.
+// has an exact-counting twin (ExactDistinct, ExactTopK) used by the property
+// tests to assert the published error bounds rather than assume them.
 package sketch
 
 // mix64 is the splitmix64 finalizer: a full-avalanche 64-bit mixer. All

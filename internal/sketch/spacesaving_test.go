@@ -6,6 +6,16 @@ import (
 	"ntpddos/internal/rng"
 )
 
+// zipfStream feeds n draws from a Zipf-distributed key universe into both a
+// sketch and its exact twin — the shape real victim/amplifier streams have
+// (a few heavy hitters over a long tail).
+func zipfStream(src *rng.Source, universe uint64, n int, add func(key uint64, count int64)) {
+	z := src.Zipf(1.2, universe)
+	for i := 0; i < n; i++ {
+		add(z.Uint64(), 1+int64(src.IntN(20)))
+	}
+}
+
 // plantedStream interleaves h heavy keys (large planted counts) with a long
 // light tail — the adversarial-ish shape SpaceSaving's guarantee is stated
 // for.

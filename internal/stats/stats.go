@@ -147,14 +147,6 @@ func (c RankedCDF) ShareOfTop(n int) float64 {
 type Histogram struct {
 	counts map[int]int64
 	total  int64
-
-	// Write-back cache for the most recently added value, as in TimeSeries:
-	// a victim's port tally sees long same-port runs, so consecutive Adds
-	// accumulate locally and reach the map once per run. Counts are
-	// integers, so the cached sums are exact.
-	curKey int
-	curVal int64
-	curOK  bool
 }
 
 // NewHistogram returns an empty histogram.
@@ -164,27 +156,12 @@ func NewHistogram() *Histogram {
 
 // Add increments the count of value by n.
 func (h *Histogram) Add(value int, n int64) {
-	if !h.curOK || value != h.curKey {
-		h.flush()
-		h.curKey, h.curVal, h.curOK = value, h.counts[value], true
-	}
-	h.curVal += n
+	h.counts[value] += n
 	h.total += n
 }
 
-// flush writes the cached count back to the map. Reads of counts must call
-// it first.
-func (h *Histogram) flush() {
-	if h.curOK {
-		h.counts[h.curKey] = h.curVal
-	}
-}
-
 // Count returns the count for value.
-func (h *Histogram) Count(value int) int64 {
-	h.flush()
-	return h.counts[value]
-}
+func (h *Histogram) Count(value int) int64 { return h.counts[value] }
 
 // Total returns the sum of all counts.
 func (h *Histogram) Total() int64 { return h.total }
@@ -196,7 +173,6 @@ func (h *Histogram) Mode() (value int, count int64, ok bool) {
 	if h.total == 0 {
 		return 0, 0, false
 	}
-	h.flush()
 	first := true
 	for v, c := range h.counts {
 		if first || c > count || (c == count && v < value) {
@@ -217,7 +193,6 @@ type Bin struct {
 // ordered by descending count (ties toward smaller value). This is the shape
 // of the paper's Table 4 attacked-ports ranking.
 func (h *Histogram) TopK(k int) []Bin {
-	h.flush()
 	bins := make([]Bin, 0, len(h.counts))
 	for v, c := range h.counts {
 		f := 0.0

@@ -239,9 +239,6 @@ func (p *Plane) fireBurst(nw *netsim.Network, t *target, now time.Time) {
 // Attacked returns the ground-truth set of attacked client addresses.
 func (p *Plane) Attacked() netaddr.Set { return p.attacked }
 
-// AttackedBy returns the ground truth for one model.
-func (p *Plane) AttackedBy(m Model) netaddr.Set { return p.byModel[m] }
-
 // Summary is the plane's end-of-run accounting.
 type Summary struct {
 	Targets       int

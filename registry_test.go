@@ -78,3 +78,31 @@ func TestFigure9ScanningLeadsAttacks(t *testing.T) {
 		t.Fatalf("scanning led attack traffic by %.0f days, want 1-14 (paper: about a week)", lead)
 	}
 }
+
+// TestReportsBeforeFirstSurvey renders every experiment for a window that
+// ends before the first ONP survey (2014-01-10): the run has no monlist
+// samples, and each report must still render instead of panicking.
+func TestReportsBeforeFirstSurvey(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Scale = 4000
+	cfg.End = time.Date(2013, 12, 1, 0, 0, 0, 0, time.UTC)
+	s := Run(cfg)
+	if n := len(s.Results().MonlistAnalyses); n != 0 {
+		t.Fatalf("window before the first survey has %d monlist samples", n)
+	}
+	for _, id := range ExperimentIDs() {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Report(%q) panicked: %v", id, r)
+				}
+			}()
+			tab := s.Report(id)
+			if tab == nil || tab.ID != id {
+				t.Errorf("Report(%q) = %+v", id, tab)
+				return
+			}
+			tab.Render()
+		}()
+	}
+}
