@@ -5,17 +5,17 @@ package ntpddos
 //
 //	go test -bench=. -benchmem
 //
-// One Benchmark per experiment. The six-month simulation is run once per
-// process (at the scale given by NTPDDOS_BENCH_SCALE, default 1000) and
-// each benchmark measures the analysis step that derives its table from the
-// captured data, logging the rendered rows under -v. Ablation benchmarks at
-// the bottom re-run reduced simulations or alternative definitions for the
-// design choices DESIGN.md calls out.
+// BenchmarkExperiments has one sub-benchmark per table of All(), named by
+// its registry id. The six-month simulation is run once per process (at
+// scale 1000, or 4000 under -short) and each sub-benchmark measures the
+// analysis step that derives its table from the captured data, logging the
+// rendered rows under -v. Ablation benchmarks at the bottom re-run reduced
+// simulations or alternative definitions for the design choices DESIGN.md
+// calls out.
 
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -40,10 +40,8 @@ func benchSimulation(b *testing.B) *Simulation {
 	benchOnce.Do(func() {
 		cfg := DefaultConfig()
 		cfg.Scale = 1000
-		if s := os.Getenv("NTPDDOS_BENCH_SCALE"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				cfg.Scale = v
-			}
+		if testing.Short() {
+			cfg.Scale = 4000
 		}
 		fmt.Fprintf(os.Stderr, "bench: running the 2013-09..2014-05 simulation once at scale 1/%d...\n", cfg.Scale)
 		start := time.Now()
@@ -53,142 +51,23 @@ func benchSimulation(b *testing.B) *Simulation {
 	return benchSim
 }
 
-// benchExperiment measures regenerating one experiment table and logs it.
-func benchExperiment(b *testing.B, build func(s *Simulation) *Table) {
+// BenchmarkExperiments measures regenerating each table of All() from the
+// shared simulation and logs the rendered table.
+func BenchmarkExperiments(b *testing.B) {
 	s := benchSimulation(b)
-	var tab *Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab = build(s)
+	for _, e := range experiments {
+		if e.extra != nil {
+			continue
+		}
+		b.Run(e.id, func(b *testing.B) {
+			var tab *Table
+			for i := 0; i < b.N; i++ {
+				tab = e.table(s)
+			}
+			b.StopTimer()
+			b.Log("\n" + tab.Render())
+		})
 	}
-	b.StopTimer()
-	b.Log("\n" + tab.Render())
-}
-
-// ---- One benchmark per table and figure ----
-
-func BenchmarkFigure1GlobalTraffic(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure1)
-}
-
-func BenchmarkFigure2AttackFractions(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure2)
-}
-
-func BenchmarkFigure3AmplifierCounts(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure3)
-}
-
-func BenchmarkFigure4aBytesReturned(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure4a)
-}
-
-func BenchmarkFigure4bMonlistBAF(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure4b)
-}
-
-func BenchmarkFigure4cVersionBAF(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure4c)
-}
-
-func BenchmarkTable1Populations(b *testing.B) {
-	benchExperiment(b, (*Simulation).Table1Amplifiers)
-}
-
-func BenchmarkTable1Victims(b *testing.B) {
-	benchExperiment(b, (*Simulation).Table1Victims)
-}
-
-func BenchmarkTable2OSStrings(b *testing.B) {
-	benchExperiment(b, (*Simulation).Table2)
-}
-
-func BenchmarkTable3MonlistExamples(b *testing.B) {
-	benchExperiment(b, (*Simulation).Table3)
-}
-
-func BenchmarkFigure5ASCDF(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure5)
-}
-
-func BenchmarkTable4AttackedPorts(b *testing.B) {
-	benchExperiment(b, (*Simulation).Table4)
-}
-
-func BenchmarkFigure6VictimPackets(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure6)
-}
-
-func BenchmarkFigure7AttackTimeseries(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure7)
-}
-
-func BenchmarkFigure8DarknetVolume(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure8)
-}
-
-func BenchmarkFigure9ScannersVsEgress(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure9)
-}
-
-func BenchmarkFigure10RemediationComparison(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure10)
-}
-
-func BenchmarkFigure11MeritTraffic(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure11)
-}
-
-func BenchmarkFigure12CSUFRGPTraffic(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure12)
-}
-
-func BenchmarkFigure13TopVictims(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure13)
-}
-
-func BenchmarkFigure14MeritProtocolMix(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure14)
-}
-
-func BenchmarkFigure15CommonVictims(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure15)
-}
-
-func BenchmarkFigure16CommonScanners(b *testing.B) {
-	benchExperiment(b, (*Simulation).Figure16)
-}
-
-func BenchmarkTable5TopAmplifiers(b *testing.B) {
-	benchExperiment(b, (*Simulation).Table5)
-}
-
-func BenchmarkTable6TopVictims(b *testing.B) {
-	benchExperiment(b, (*Simulation).Table6)
-}
-
-func BenchmarkChurnAnalysis(b *testing.B) {
-	benchExperiment(b, (*Simulation).ChurnReport)
-}
-
-func BenchmarkAggregateVolume(b *testing.B) {
-	benchExperiment(b, (*Simulation).VolumeReport)
-}
-
-func BenchmarkRemediationSubgroups(b *testing.B) {
-	benchExperiment(b, (*Simulation).RemediationReport)
-}
-
-func BenchmarkDNSOverlap(b *testing.B) {
-	benchExperiment(b, (*Simulation).DNSOverlapReport)
-}
-
-func BenchmarkTTLAnalysis(b *testing.B) {
-	benchExperiment(b, (*Simulation).TTLReport)
-}
-
-func BenchmarkMegaAmplifiers(b *testing.B) {
-	benchExperiment(b, (*Simulation).MegaReport)
 }
 
 // ---- Ablation benchmarks (design choices from DESIGN.md §6) ----

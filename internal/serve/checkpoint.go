@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -125,8 +126,17 @@ func loadCheckpoint(path string) (h ckptHeader, recs []sweep.JobRecord, validLen
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	// Unlike ScanLines, a final line without its newline is torn (no
+	// token) and a '\r' stays in its token, so each token plus its newline
+	// is exactly its span of the file.
+	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i], nil
+		}
+		return 0, nil, nil
+	})
 	if !sc.Scan() {
-		return h, nil, 0, fmt.Errorf("checkpoint %s: empty", path)
+		return h, nil, 0, fmt.Errorf("checkpoint %s: no complete header line", path)
 	}
 	headerLine := sc.Bytes()
 	if err := json.Unmarshal(headerLine, &h); err != nil {
@@ -211,6 +221,11 @@ func (d *Daemon) recoverJobs() {
 		h, recs, validLen, err := loadCheckpoint(path)
 		if err != nil {
 			d.logf("checkpoint %s skipped: %v", name, err)
+			continue
+		}
+		// releaseCheckpoint removes <ID>.ckpt, so the ID must name this file.
+		if h.ID+".ckpt" != name {
+			d.logf("checkpoint %s skipped: header names job %q", name, h.ID)
 			continue
 		}
 		jobs, err := h.Spec.Jobs(d.cfg.Base)

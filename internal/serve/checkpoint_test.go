@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -112,6 +113,92 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoverySkipsForeignID pins recovery's trust boundary: the header's
+// job ID names the file the daemon later removes, so a checkpoint whose ID
+// is not its own file stem (here one that climbs out of the checkpoint
+// directory) is skipped with a logged reason, and no file outside the
+// directory is touched.
+func TestRecoverySkipsForeignID(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "ckpts")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(root, "outside.ckpt")
+	if err := os.WriteFile(outside, []byte("not a checkpoint\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := newCheckpoint(filepath.Join(dir, "j000007.ckpt"), ckptHeader{
+		ID: "../outside", Spec: JobSpec{Spec: sweep.Spec{Seeds: "1"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.close()
+
+	var mu sync.Mutex
+	var logs []string
+	e := newEnv(t, Config{CheckpointDir: dir, Log: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	// The single job worker runs jobs in queue order, so once a job
+	// submitted after startup is done, any recovered job has finished and
+	// released its checkpoint.
+	st := e.submitOK(t, `{"seeds":"1"}`)
+	e.waitState(t, st.ID, StateDone)
+
+	if _, ok := e.d.store.get("../outside"); ok {
+		t.Fatal("recovered a job whose header ID is not its file stem")
+	}
+	if _, err := os.Stat(outside); err != nil {
+		t.Fatalf("file outside the checkpoint directory: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.HasPrefix(l, "checkpoint j000007.ckpt skipped") {
+			return
+		}
+	}
+	t.Fatalf("no skip reason logged for j000007.ckpt; log: %q", logs)
+}
+
+// TestLoadCheckpointUnterminatedLine pins the torn-write rule at a line
+// boundary: a final line that lacks its newline is torn even when its JSON
+// is complete, so validLen never runs past the end of the file (truncating
+// to such a length would pad the file with a NUL byte that corrupts the
+// next appended record).
+func TestLoadCheckpointUnterminatedLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j000001.ckpt")
+	ck, err := newCheckpoint(path, ckptHeader{ID: "j000001", Spec: JobSpec{Spec: sweep.Spec{Seeds: "1-2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.append(sweep.JobRecord{Index: 0, ID: "a"})
+	ck.close()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"index":1,"id":"b"}`) // complete record, newline lost
+	f.Close()
+
+	_, recs, validLen, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ID != "a" || validLen != int64(len(whole)) {
+		t.Fatalf("records %+v, validLen %d; want only record a and validLen %d",
+			recs, validLen, len(whole))
+	}
+}
+
 // TestRetriesSurfaceInStatus pins the self-healing accounting: a sub-job
 // that fails twice then heals reports its retries in the job-status API and
 // on the sweep retry counter.
@@ -192,4 +279,36 @@ func TestSubmitResponseReportsAdmittedState(t *testing.T) {
 	if got := e.status(t, st.ID).State; got != StateRunning {
 		t.Fatalf("job state after the runner was entered = %s, want running", got)
 	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to checkpoint recovery's parser:
+// it must never panic, and a file it accepts must yield a validLen within
+// the file and only records with an ID.
+func FuzzLoadCheckpoint(f *testing.F) {
+	header, err := json.Marshal(ckptHeader{ID: "j000001", Spec: JobSpec{Spec: sweep.Spec{Seeds: "1-3"}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := string(header) + "\n" + `{"index":0,"id":"a","digest":"d"}` + "\n"
+	f.Add([]byte(valid))
+	f.Add([]byte(valid + `{"index":1,"id":"se`))
+	f.Add([]byte(`{"id":` + "\n" + `{"index":0,"id":"a"}` + "\n"))
+	path := filepath.Join(f.TempDir(), "j000001.ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, recs, validLen, err := loadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		if validLen > int64(len(data)) {
+			t.Fatalf("validLen %d past the end of a %d-byte file", validLen, len(data))
+		}
+		for i, rec := range recs {
+			if rec.ID == "" {
+				t.Fatalf("record %d has no ID", i)
+			}
+		}
+	})
 }
